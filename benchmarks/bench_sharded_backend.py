@@ -18,12 +18,13 @@ monolithic single-controller RRAM backend, and verifies its two contracts:
   :func:`repro.rram.mc.shard_streams`;
 * **throughput** — sharded vs monolithic word-line-scan rate at the
   controller level (model-level latency is front-end-dominated), on the
-  stacked fast plan (default), the per-shard fast reference loop
-  (``stacked=False``) and the noisy device path.  The stacked plan is
-  the acceptance surface: smoke mode asserts its overhead stays ≤ 2.0x
-  monolithic and that all three fast variants are bit-identical; the
-  noisy per-chip loop stays recorded-not-asserted (per-chip dispatch by
-  construction, required by the RNG stream contract).
+  stacked fast plan (default) and the noisy device path.  The stacked
+  plan is the acceptance surface: smoke mode asserts its overhead stays
+  ≤ 2.0x monolithic, and every mode asserts its counts equal both the
+  monolithic controller and the zero-sigma physical sharded path
+  (``fast_path=False``); the noisy per-chip loop stays
+  recorded-not-asserted (per-chip dispatch by construction, required by
+  the RNG stream contract).
 
 Results are recorded in ``BENCH_sharded_backend.json`` at the repo root.
 
@@ -123,9 +124,6 @@ def main(smoke: bool = False, profile: bool = False) -> None:
         "fast_stacked": ShardedController(
             weights, config=ideal, rng=np.random.default_rng(1),
             macro=MacroGeometry(32, 32)),
-        "fast_per_shard": ShardedController(
-            weights, config=ideal, rng=np.random.default_rng(1),
-            macro=MacroGeometry(32, 32), stacked=False),
         "noisy": ShardedController(
             weights, config=noisy_cfg, rng=np.random.default_rng(1),
             fast_path=False, macro=MacroGeometry(32, 32)),
@@ -142,14 +140,16 @@ def main(smoke: bool = False, profile: bool = False) -> None:
                           "sharded_ms": round(shard_ms, 3),
                           "overhead_x": round(shard_ms / mono_ms, 2)}
 
-    # The acceptance surface: all fast variants bit-identical on the
-    # scan layer, stacked == monolithic counts.
+    # The acceptance surface: on the scan layer, stacked == monolithic
+    # == zero-sigma physical sharded counts.
     mono_counts = MemoryController(weights, ideal).popcounts(x_bits)
     stacked_counts = controllers["fast_stacked"].popcounts(x_bits)
-    per_shard_counts = controllers["fast_per_shard"].popcounts(x_bits)
+    physical_counts = ShardedController(
+        weights, config=ideal, rng=np.random.default_rng(1),
+        fast_path=False, macro=MacroGeometry(32, 32)).popcounts(x_bits)
     scan_equivalent = bool(
         np.array_equal(stacked_counts, mono_counts)
-        and np.array_equal(stacked_counts, per_shard_counts))
+        and np.array_equal(stacked_counts, physical_counts))
 
     stage_profile = dict(controllers["fast_stacked"].last_profile)
     if profile:
@@ -175,15 +175,15 @@ def main(smoke: bool = False, profile: bool = False) -> None:
         f"{geom_lines}\n"
         f"  noisy sharded trials chunk-invariant ({trials} trials) = "
         f"{mc_invariant}\n"
-        f"  scan-layer fast paths bit-identical (stacked / per-shard / "
-        f"monolithic) = {scan_equivalent}\n"
+        f"  scan-layer counts bit-identical (stacked / monolithic / "
+        f"zero-sigma physical) = {scan_equivalent}\n"
         f"{timing_lines}\n")
     report("sharded_backend", text)
 
     assert all(equivalence.values()), equivalence
     assert mc_invariant, "sharded Monte-Carlo trials were chunk-variant"
     assert scan_equivalent, \
-        "stacked fast plan diverged from per-shard / monolithic counts"
+        "stacked fast plan diverged from monolithic / physical counts"
     if smoke:
         overhead = timings["fast_stacked"]["overhead_x"]
         assert overhead <= 2.0, (

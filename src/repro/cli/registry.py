@@ -307,12 +307,12 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
                 "Several models resident on one simulated chip and one "
                 "daemon: pickle-free bundle artifacts, ChipPlacer "
                 "first-fit-decreasing co-resident placement with a "
-                "pooled spare reserve, MultiTenantController "
-                "interleaved word-line scans (one batched kernel "
-                "dispatch across tenants, bit-identical to solo), and "
-                "a tenant-routing serve front — aggregate req/s vs "
-                "sequential solo daemons on the same core budget "
-                "(records BENCH_multitenant.json)."),
+                "pooled spare reserve (EEG+ECG on 3 macros vs 13 "
+                "solo), and a tenant-routing serve front running each "
+                "tenant's plan bit-identical to solo.  Aggregate req/s "
+                "is ~1.8x sequential solo daemons, mostly from booting "
+                "one daemon instead of two; serve-phase throughput is "
+                "at parity (~1.09x) (records BENCH_multitenant.json)."),
             kind="script",
             modules=("repro.io.plans", "repro.rram.floorplan",
                      "repro.rram.accelerator", "repro.serve.server",

@@ -28,7 +28,7 @@ from repro.rram.sense import (SenseParameters, PrechargeSenseAmplifier,
 from repro.rram.cell import OneT1RCell, TwoT2RCell
 from repro.rram.array import RRAMArray
 from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
-                                    ShardedController, MultiTenantController,
+                                    ShardedController,
                                     InMemoryDenseLayer, InMemoryOutputLayer,
                                     InMemoryClassifier, fold_classifier,
                                     deploy_classifier, classifier_input_bits)
@@ -66,7 +66,6 @@ __all__ = [
     "OneT1RCell", "TwoT2RCell",
     "RRAMArray",
     "AcceleratorConfig", "MemoryController", "ShardedController",
-    "MultiTenantController",
     "InMemoryDenseLayer", "InMemoryOutputLayer", "InMemoryClassifier",
     "fold_classifier", "deploy_classifier", "classifier_input_bits",
     "EnduranceExperiment", "EnduranceResult", "inject_bit_errors",

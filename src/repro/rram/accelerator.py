@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.nn.binary import (FoldedBinaryDense, FoldedOutputDense,
                              threshold_bits, to_bits)
-from repro.nn.bitops import (WORD_BITS, pack_bits, packed_column_slice,
+from repro.nn.bitops import (pack_bits, packed_column_slice,
                              packed_xnor_popcount,
                              packed_xnor_popcount_stacked)
 from repro.rram.array import RRAMArray
@@ -97,6 +97,36 @@ def _noise_free(config: AcceleratorConfig) -> bool:
     return (device.sigma_lrs0 == 0.0 and device.sigma_hrs0 == 0.0
             and device.hrs_drift == 0.0 and sense.offset_sigma == 0.0
             and device.median_hrs > device.median_lrs)
+
+
+def _resolve_fast_path(fast_path: bool | str, config: AcceleratorConfig,
+                       lifetime: LifetimeConfig | None) -> bool:
+    """Validate a controller's ``fast_path`` request and resolve it.
+
+    ``"auto"`` takes the fast path exactly when reads are deterministic
+    (noise-free configuration, no retention aging); ``True`` demands
+    that and raises otherwise; ``False`` always simulates devices.
+    """
+    if fast_path not in (True, False, "auto"):
+        raise ValueError("fast_path must be True, False or 'auto'")
+    deterministic = _noise_free(config) and lifetime is None
+    if fast_path is True and not deterministic:
+        raise ValueError(
+            "fast_path=True requires a noise-free configuration "
+            "(zero device sigma, zero HRS drift, zero sense offset, "
+            "no retention aging); use fast_path='auto' to dispatch")
+    return deterministic if fast_path == "auto" else bool(fast_path)
+
+
+def _single_batch(x_bits: np.ndarray, ndim: int) -> np.ndarray:
+    """Check the rank of a single-read batch before it runs as a
+    one-trial scan, so a ``(1, N, ...)`` stack is refused instead of
+    being read as one trial's activations."""
+    x_bits = np.asarray(x_bits, dtype=np.uint8)
+    if x_bits.ndim != ndim:
+        raise ValueError(
+            f"expected a {ndim}-D batch, got input shape {x_bits.shape}")
+    return x_bits
 
 
 def _validate_trial_input(x_bits: np.ndarray, n_trials: int,
@@ -194,16 +224,7 @@ class MemoryController:
         self.fault_key = (int(fault_key),) if isinstance(fault_key, int) \
             else tuple(int(k) for k in fault_key)
 
-        if fast_path not in (True, False, "auto"):
-            raise ValueError("fast_path must be True, False or 'auto'")
-        deterministic = _noise_free(config) and lifetime is None
-        if fast_path is True and not deterministic:
-            raise ValueError(
-                "fast_path=True requires a noise-free configuration "
-                "(zero device sigma, zero HRS drift, zero sense offset, "
-                "no retention aging); use fast_path='auto' to dispatch")
-        self.fast_path = deterministic if fast_path == "auto" \
-            else bool(fast_path)
+        self.fast_path = _resolve_fast_path(fast_path, config, lifetime)
 
         # Stuck-at faults are keyed, not streamed: drawing them consumes
         # the map's own site stream, never the program generator.
@@ -332,43 +353,19 @@ class MemoryController:
         """XNOR-popcount of a batch against every stored row.
 
         ``x_bits``: ``(N, in_features)``; returns ``(N, out_features)``
-        integer popcounts.  On the fast path this is one packed-word
-        kernel call.  On the noisy path the whole tile grid is scanned in
-        one vectorized pass per batch chunk: fresh sense offsets are drawn
-        once per scan (every cell, every inference — the same statistics
-        as per-tile reads), added to the stacked margins, and the XNOR
-        agreements are reduced over the input axis without materializing
-        any per-tile intermediates.
-
-        ``rng`` overrides the controller's generator for this scan only
-        (the Monte-Carlo per-trial stream hook) and ``sense`` overrides
-        the sense parameters (margins never depend on them, so a cached
-        programmed controller can be read at any offset sigma).
+        integer popcounts.  A single scan is a one-trial
+        :meth:`popcounts_trials` scan reading from ``rng`` (the
+        controller's generator by default) — the Monte-Carlo per-trial
+        stream hook.  ``sense`` overrides the sense parameters (margins
+        never depend on them, so a cached programmed controller can be
+        read at any offset sigma).
         """
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
             raise ValueError(
                 f"input shape {x_bits.shape} != (N, {self.in_features})")
-        n = x_bits.shape[0]
-        out_p = self._count_read_ops(n, trials=1)
-        if self.fast_path:
-            self._check_sense_override(sense)
-            return packed_xnor_popcount(pack_bits(x_bits),
-                                        self.weight_words, self.in_features)
-        margins = self._stacked_margins()
-        x_bool = x_bits.astype(bool)
-        counts = np.empty((n, out_p), dtype=np.int64)
-        sense = sense or self.config.sense
-        rng = rng or self.rng
-        chunk = max(1, self.read_chunk_elems
-                    // max(1, out_p * self.in_features))
-        for start in range(0, n, chunk):
-            xs = x_bool[start:start + chunk]
-            offsets = sense.offset(rng, (len(xs),) + margins.shape)
-            weight_read = (margins[None, :, :] + offsets) > 0
-            agree = weight_read == xs[:, None, :]
-            counts[start:start + len(xs)] = agree.sum(axis=2, dtype=np.int64)
-        return counts[:, :self.out_features]
+        return self.popcounts_trials(x_bits, [rng or self.rng],
+                                     sense=sense)[0]
 
     @staticmethod
     def _check_sense_override(sense: SenseParameters | None) -> None:
@@ -422,12 +419,13 @@ class MemoryController:
         one generator per trial (:func:`repro.rram.mc.trial_streams`);
         returns ``(T, N, out_features)`` counts.
 
-        Trial ``t`` draws every offset from ``rngs[t]`` alone, so the
-        result is bit-identical to ``[popcounts(x[t], rng=rngs[t]) for
-        t in range(T)]`` for any ``trial_chunk`` (numpy normal draws are
-        split-stable; see :mod:`repro.rram.mc`).  The stacked
-        ``(T_chunk, N_chunk, out, in)`` offset tensor is bounded by
-        ``read_chunk_elems`` like the single-trial scan.
+        This is the controller's only scan (:meth:`popcounts` is a
+        one-trial call).  Trial ``t`` draws every offset from ``rngs[t]``
+        alone, so the result is bit-identical to ``[popcounts(x[t],
+        rng=rngs[t]) for t in range(T)]`` for any ``trial_chunk`` (numpy
+        normal draws are split-stable; see :mod:`repro.rram.mc`).  The
+        stacked ``(T_chunk, N_chunk, out, in)`` offset tensor is bounded
+        by ``read_chunk_elems``.
 
         On the fast path reads are deterministic, so all trials are the
         one packed-kernel result broadcast over the trial axis.
@@ -453,7 +451,6 @@ class MemoryController:
         counts = np.empty((n_trials, n, out_p), dtype=np.int64)
         sense = sense or self.config.sense
         per_trial = n * out_p * self.in_features
-        from repro.rram.mc import trial_chunks
         for t0, t1 in trial_chunks(n_trials, per_trial,
                                    self.read_chunk_elems, trial_chunk):
             sub = rngs[t0:t1]
@@ -482,11 +479,9 @@ class StackedShardPlan:
     Built once at :class:`ShardedController` construction (fast path
     only).  Every shard's padded weight slice is re-packed **word-aligned
     to the shared activation grid**: the grid is the layer's full-width
-    packed activation row (``n_words`` uint64 words), and shard ``s``'s
-    slice lands at bit ``col_start`` of that grid — exactly where the
-    once-packed activation batch already holds its fan-in bits
-    (:attr:`~repro.rram.floorplan.MacroShard.word_start` /
-    :attr:`~repro.rram.floorplan.MacroShard.bit_offset`).
+    packed activation row, and shard ``s``'s slice lands at bit
+    ``col_start`` of that grid — exactly where the once-packed activation
+    batch already holds its fan-in bits.
 
     On that grid the shards of one fan-out stripe (one grid row — same
     output neurons, adjacent fan-in slices) occupy **disjoint** bit
@@ -494,9 +489,8 @@ class StackedShardPlan:
     the stripe's aligned weight words gives one ``(macro_rows, n_words)``
     block whose XNOR disagreements against the shared activation words
     equal the *sum* of the stripe's per-shard disagreements.  The
-    per-batch stripe sum (``np.add.reduceat`` over partial popcounts)
-    thereby becomes a program-time bit-OR, and ``popcounts`` collapses
-    to: pack the batch once, one
+    per-batch stripe sum thereby becomes a program-time bit-OR, and a
+    scan collapses to: pack the batch once, one
     :func:`~repro.nn.bitops.packed_xnor_popcount_stacked` launch over
     the ``(grid_rows, macro_rows, n_words)`` tensor, and a transpose/
     reshape that concatenates fan-out stripes.  ``widths`` holds each
@@ -504,24 +498,15 @@ class StackedShardPlan:
     disagreements into exact agreements (zero pad and out-of-slice bits
     never disagree: both operands keep them zero).
 
-    The per-shard word ranges (``word_start`` / ``word_stop`` /
-    ``bit_offset``) are kept for introspection and tests; the noisy path
-    never uses this plan — per-chip sense noise must ride the
-    per-(shard, trial) RNG stream contract, which requires genuinely
+    The noisy path never uses this plan — per-chip sense noise must ride
+    the per-(shard, trial) RNG stream contract, which requires genuinely
     per-shard scans (see :func:`repro.rram.mc.shard_streams`).
     """
 
     grid_rows: int
-    grid_cols: int
     macro_rows: int
-    out_features: int
-    in_features: int
-    n_words: int                      # shared activation-grid width
     words: np.ndarray = field(repr=False)   # (grid_rows, macro_rows, n_words)
     widths: np.ndarray = field(repr=False)  # (grid_rows,) true fan-in
-    word_start: np.ndarray = field(repr=False)  # (n_shards,) shard ranges
-    word_stop: np.ndarray = field(repr=False)
-    bit_offset: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, weight_bits: np.ndarray,
@@ -536,8 +521,7 @@ class StackedShardPlan:
         sliced off after the scan, like the monolithic controller's
         padded rows).
         """
-        shards = placement.shards()
-        grid_rows, grid_cols = placement.tile_grid
+        grid_rows = placement.tile_grid[0]
         macro_rows = placement.macro.rows
         out_features, in_features = weight_bits.shape
         padded = np.zeros((grid_rows * macro_rows, in_features),
@@ -547,15 +531,8 @@ class StackedShardPlan:
                                           placement.activation_words)
         # Every stripe spans the full fan-in once its shards are fused.
         widths = np.full(grid_rows, in_features, dtype=np.int64)
-        return cls(
-            grid_rows=grid_rows, grid_cols=grid_cols,
-            macro_rows=macro_rows, out_features=out_features,
-            in_features=in_features,
-            n_words=placement.activation_words,
-            words=words, widths=widths,
-            word_start=np.array([s.word_start for s in shards]),
-            word_stop=np.array([s.word_stop for s in shards]),
-            bit_offset=np.array([s.bit_offset for s in shards]))
+        return cls(grid_rows=grid_rows, macro_rows=macro_rows,
+                   words=words, widths=widths)
 
 
 class ShardedController:
@@ -590,16 +567,14 @@ class ShardedController:
     per-trial, per-shard independent sense noise, chunk-invariant and
     bit-identical between trial-batched and serial per-trial execution.
 
-    Noise-free configurations additionally compile a
-    :class:`StackedShardPlan` at construction (``stacked="auto"``, the
-    default): deterministic partial popcounts decompose exactly over the
-    shard map, so the per-chip Python loop — slice, re-pack, tiny kernel,
-    scattered ``+=`` per shard — collapses to one full-width activation
-    pack, one batched stacked kernel and one stripe concatenation,
-    bit-identical to the per-shard loop and to the monolithic controller.
-    ``stacked=False`` keeps the genuine per-shard fast loop as the
-    reference for equivalence tests; the noisy path always scans shard by
-    shard (the RNG stream contract requires per-chip draws).
+    Noise-free configurations compile a :class:`StackedShardPlan` at
+    construction: deterministic partial popcounts decompose exactly over
+    the shard map, so the per-chip loop collapses to one full-width
+    activation pack, one batched stacked kernel and one stripe
+    concatenation — bit-identical to the monolithic controller and to the
+    zero-sigma physical path (``fast_path=False``), the two references
+    the equivalence tests compare against.  The noisy path always scans
+    shard by shard (the RNG stream contract requires per-chip draws).
 
     The same read API as :class:`MemoryController` (``popcounts`` /
     ``popcounts_trials`` / meters), so the in-memory layer classes accept
@@ -615,7 +590,6 @@ class ShardedController:
                  fast_path: bool | str = "auto",
                  macro: MacroGeometry | None = None,
                  name: str = "layer",
-                 stacked: bool | str = "auto",
                  lifetime: LifetimeConfig | None = None,
                  fault_map: FaultMap | None = None,
                  fault_key: int | tuple[int, ...] = (),
@@ -700,15 +674,8 @@ class ShardedController:
                 fault_key=fault_key + (s.index,))
             for s in self.shard_map]
         self.fast_path = self.shards[0].fast_path
-        if stacked not in (True, False, "auto"):
-            raise ValueError("stacked must be True, False or 'auto'")
-        if stacked is True and not self.fast_path:
-            raise ValueError(
-                "stacked=True requires the fast path: noisy reads must "
-                "scan shard by shard to honour the per-(shard, trial) "
-                "RNG stream contract; use stacked='auto' to dispatch")
         self.plan = None
-        if self.fast_path and stacked is not False:
+        if self.fast_path:
             # The stacked plan fuses *effective* stored bits (stuck-at
             # overrides applied per healthy shard); remapped shards are
             # zeroed out of the fused canvas and corrected per scan with
@@ -725,12 +692,11 @@ class ShardedController:
                         block[:] = cell_faults.apply_bits(
                             block, fault_key + (s.index,))
             self.plan = StackedShardPlan.build(plan_bits, placement)
-        self.stacked = self.plan is not None
         self._remapped_specs = [(self.shard_map[i], self.shards[i])
                                 for i in self.remapped_shards]
         #: Stage breakdown (pack / kernel / reduce, in ms) of the most
-        #: recent stacked scan — populated by every stacked ``popcounts``
-        #: call, ``None`` before the first one (and on other paths).
+        #: recent stacked scan — populated by every fast-path scan,
+        #: ``None`` before the first one (and on the noisy path).
         self.last_profile: dict[str, float] | None = None
 
     # -- geometry / meters ----------------------------------------------
@@ -741,11 +707,8 @@ class ShardedController:
     @property
     def fast_path_kind(self) -> str:
         """Which read path scans execute on: ``"stacked"`` (one batched
-        kernel), ``"per-shard"`` (fast per-chip loop, the ``stacked=
-        False`` reference) or ``"noisy"`` (device simulation)."""
-        if not self.fast_path:
-            return "noisy"
-        return "stacked" if self.stacked else "per-shard"
+        kernel) or ``"noisy"`` (per-shard device simulation)."""
+        return "stacked" if self.fast_path else "noisy"
 
     @property
     def n_macros(self) -> int:
@@ -782,61 +745,44 @@ class ShardedController:
     def _meter_fast(self, n: int, trials: int) -> None:
         """Account ``trials`` deterministic scans of an ``n``-row batch
         on every chip's meters — arithmetically, without re-scanning.
-        Identical to what ``trials`` per-shard loop passes would record
-        (each chip senses its full macro per scan regardless of path)."""
+        Identical to what ``trials`` per-shard physical scans would
+        record (each chip senses its full macro per scan regardless of
+        path)."""
         for shard in self.shards:
             shard._count_read_ops(n, trials)
 
     def _fast_counts(self, x_bits: np.ndarray) -> np.ndarray:
-        """Deterministic reduced counts for a 2-D batch (no metering).
-
-        Stacked plan: pack the batch once at full width, one batched
-        stacked kernel over the fan-out stripes, concatenate.  Reference
-        (``stacked=False``): genuine per-shard loop, with the activation
-        batch still packed once and each shard's fan-in slice carved out
-        in the word domain (:func:`~repro.nn.bitops.packed_column_slice`)
-        instead of re-running ``numpy.packbits`` on misaligned offsets.
-        """
+        """Deterministic reduced counts for a 2-D batch (no metering):
+        pack the batch once at full width, one batched stacked kernel
+        over the fan-out stripes, concatenate."""
         n = x_bits.shape[0]
         plan = self.plan
-        if plan is not None:
-            t0 = time.perf_counter()
-            x_words = pack_bits(x_bits)
-            t1 = time.perf_counter()
-            counts = packed_xnor_popcount_stacked(
-                x_words, plan.words, plan.widths)   # (stripes, N, rows)
-            t2 = time.perf_counter()
-            reduced = np.ascontiguousarray(
-                counts.transpose(1, 0, 2)).reshape(
-                    n, plan.grid_rows * plan.macro_rows)[
-                        :, :self.out_features]
-            t3 = time.perf_counter()
-            # Unsynchronized by choice: a stale profile under concurrent
-            # scans is harmless (diagnostics, not accounting).
-            self.last_profile = {"pack_ms": (t1 - t0) * 1e3,
-                                 "kernel_ms": (t2 - t1) * 1e3,
-                                 "reduce_ms": (t3 - t2) * 1e3}
-            for spec, shard in self._remapped_specs:
-                # The fused canvas stores zeros where the dead shard
-                # lived, so the stacked kernel credited one agreement
-                # per *zero* activation bit in the slice: ``cols -
-                # ones(xs)``.  Replace that with the spare chip's true
-                # per-shard count.
-                xs = packed_column_slice(x_words, spec.col_start,
-                                         spec.col_stop)
-                ones = np.bitwise_count(xs).sum(axis=1, dtype=np.int64)
-                agree = packed_xnor_popcount(xs, shard.weight_words,
-                                             spec.cols)
-                reduced[:, spec.row_start:spec.row_stop] += \
-                    agree - (spec.cols - ones)[:, None]
-            return reduced
+        t0 = time.perf_counter()
         x_words = pack_bits(x_bits)
-        counts = np.zeros((n, self.out_features), dtype=np.int64)
-        for spec, shard in zip(self.shard_map, self.shards):
-            counts[:, spec.row_start:spec.row_stop] += packed_xnor_popcount(
-                packed_column_slice(x_words, spec.col_start, spec.col_stop),
-                shard.weight_words, spec.cols)
-        return counts
+        t1 = time.perf_counter()
+        counts = packed_xnor_popcount_stacked(
+            x_words, plan.words, plan.widths)   # (stripes, N, rows)
+        t2 = time.perf_counter()
+        reduced = np.ascontiguousarray(
+            counts.transpose(1, 0, 2)).reshape(
+                n, plan.grid_rows * plan.macro_rows)[:, :self.out_features]
+        t3 = time.perf_counter()
+        # Unsynchronized by choice: a stale profile under concurrent
+        # scans is harmless (diagnostics, not accounting).
+        self.last_profile = {"pack_ms": (t1 - t0) * 1e3,
+                             "kernel_ms": (t2 - t1) * 1e3,
+                             "reduce_ms": (t3 - t2) * 1e3}
+        for spec, shard in self._remapped_specs:
+            # The fused canvas stores zeros where the dead shard lived,
+            # so the stacked kernel credited one agreement per *zero*
+            # activation bit in the slice: ``cols - ones(xs)``.  Replace
+            # that with the spare chip's true per-shard count.
+            xs = packed_column_slice(x_words, spec.col_start, spec.col_stop)
+            ones = np.bitwise_count(xs).sum(axis=1, dtype=np.int64)
+            agree = packed_xnor_popcount(xs, shard.weight_words, spec.cols)
+            reduced[:, spec.row_start:spec.row_stop] += \
+                agree - (spec.cols - ones)[:, None]
+        return reduced
 
     def popcounts(self, x_bits: np.ndarray,
                   rng: np.random.Generator | None = None,
@@ -844,30 +790,17 @@ class ShardedController:
         """Shard-and-reduce XNOR-popcount of a batch: ``(N, in)`` bits in,
         ``(N, out_features)`` reduced counts out.
 
-        On the fast path no noise is drawn and the reduction is exact —
-        one batched stacked-plan kernel (or the ``stacked=False``
-        per-shard reference loop).  On the noisy path each shard scans
-        its fan-in slice with its own spawned child of ``rng`` (the
-        controller's root generator by default) and partial popcounts are
-        summed per fan-out stripe.
+        A one-trial :meth:`popcounts_trials` scan reading from ``rng``
+        (the controller's root generator by default): on the noisy path
+        each shard scans its fan-in slice with its own spawned child of
+        that stream, and partial popcounts are summed per fan-out stripe.
         """
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
             raise ValueError(
                 f"input shape {x_bits.shape} != (N, {self.in_features})")
-        if self.fast_path:
-            MemoryController._check_sense_override(sense)
-            self._meter_fast(x_bits.shape[0], trials=1)
-            return self._fast_counts(x_bits)
-        streams = (rng or self.rng).spawn(self.n_shards)
-        counts = np.zeros((x_bits.shape[0], self.out_features),
-                          dtype=np.int64)
-        for spec, shard, stream in zip(self.shard_map, self.shards,
-                                       streams):
-            counts[:, spec.row_start:spec.row_stop] += shard.popcounts(
-                x_bits[:, spec.col_start:spec.col_stop],
-                rng=stream, sense=sense)
-        return counts
+        return self.popcounts_trials(x_bits, [rng or self.rng],
+                                     sense=sense)[0]
 
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
                          sense: SenseParameters | None = None,
@@ -877,8 +810,8 @@ class ShardedController:
         Shard ``s`` of trial ``t`` draws from child ``(t, s)`` of the
         trial streams (:func:`repro.rram.mc.shard_streams`), so the stack
         is bit-identical to ``[popcounts(x[t], rng=rngs[t]) for t in
-        range(T)]`` for any ``trial_chunk`` — the serial path spawns the
-        same children from its single trial stream.
+        range(T)]`` for any ``trial_chunk`` — this is the controller's
+        only scan, and a single read is a one-trial call.
 
         Fast-path trials are deterministic and never consume the
         streams: shared activations are scanned **once** and broadcast
@@ -926,191 +859,7 @@ class ShardedController:
         return (f"ShardedController({self.out_features}x{self.in_features} "
                 f"on {rows}x{cols} macros of "
                 f"{self.macro.rows}x{self.macro.cols}, "
-                f"fast_path={self.fast_path}, stacked={self.stacked}"
-                f"{degraded})")
-
-
-class MultiTenantController:
-    """Interleaved word-line scans of several tenants resident on one
-    macro pool: one batched kernel dispatch covers every tenant's
-    stripes.
-
-    Takes one :class:`ShardedController` per tenant (one co-scanned
-    layer each — a "macro group" of the pool) and fuses their stacked
-    plans onto a shared activation word grid: tenant stripe blocks are
-    concatenated along the stripe axis (each tenant owns a contiguous
-    stripe range — its stripe mask), activation batches are packed per
-    tenant, zero-padded to the shared grid width and concatenated along
-    the batch axis, and **one**
-    :func:`~repro.nn.bitops.packed_xnor_popcount_stacked` launch scans
-    everything.  Per-model partial-popcount reduction then slices each
-    tenant's ``(stripes, rows)`` block back out.
-
-    Bit-identity with solo execution is structural, not approximate:
-    the kernel computes ``width - disagreements`` per stripe with each
-    tenant's true fan-in as the width, and every word beyond a tenant's
-    own grid is zero in *both* operands (the ``pack_bits`` zero-pad
-    invariant), so padding to the shared width never creates a
-    disagreement.  Cross products (tenant A's rows against tenant B's
-    stripes) are computed by the fused launch but discarded by the
-    reduction — they model the word lines a real shared chip senses
-    while another tenant's rows are resident.  Dead-macro spare remaps
-    (PR 7) are corrected per tenant on its own unpadded words, exactly
-    like the solo stacked path.
-
-    Requires every tenant on the noise-free stacked fast path: noisy
-    scans must honour the per-(shard, trial) RNG stream contract and
-    cannot fuse across tenants.
-    """
-
-    def __init__(self, controllers):
-        if not controllers:
-            raise ValueError("need at least one tenant controller")
-        self.controllers: dict[str, ShardedController] = dict(controllers)
-        first = next(iter(self.controllers.values()))
-        for name, controller in self.controllers.items():
-            if controller.plan is None:
-                raise ValueError(
-                    f"tenant {name!r} is not on the stacked fast path "
-                    f"({controller.fast_path_kind}); interleaved scans "
-                    "fuse stacked plans only")
-            if controller.macro != first.macro:
-                raise ValueError(
-                    f"tenant {name!r} uses {controller.macro.rows}x"
-                    f"{controller.macro.cols} macros, expected "
-                    f"{first.macro.rows}x{first.macro.cols} — tenants "
-                    "share one chip geometry")
-        self.macro = first.macro
-        macro_rows = self.macro.rows
-        self.n_words = max(c.plan.n_words for c in self.controllers.values())
-
-        # Per-tenant stripe blocks padded to the shared grid width, plus
-        # the fused tensor for full-pool scans.  Tenant order fixes the
-        # stripe ranges (the per-tenant stripe masks).
-        self._padded: dict[str, np.ndarray] = {}
-        self.stripe_ranges: dict[str, tuple[int, int]] = {}
-        widths = []
-        cursor = 0
-        for name, controller in self.controllers.items():
-            plan = controller.plan
-            block = np.zeros((plan.grid_rows, macro_rows, self.n_words),
-                             dtype=np.uint64)
-            block[:, :, :plan.n_words] = plan.words
-            self._padded[name] = block
-            self.stripe_ranges[name] = (cursor, cursor + plan.grid_rows)
-            cursor += plan.grid_rows
-            widths.append(plan.widths)
-        self.words = np.concatenate(
-            [self._padded[name] for name in self.controllers])
-        self.widths = np.concatenate(widths)
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self.controllers)
-
-    @property
-    def n_stripes(self) -> int:
-        return int(self.words.shape[0])
-
-    def popcounts(self, batches) -> dict:
-        """One interleaved scan: ``{tenant: (N_t, in_t) bits}`` in,
-        ``{tenant: (N_t, out_t) reduced counts}`` out, each tenant's
-        counts bit-identical to its solo ``ShardedController.popcounts``.
-
-        Tenants absent from ``batches`` (or with empty batches) are
-        skipped — their word lines simply are not selected this scan.
-        """
-        unknown = [name for name in batches if name not in self.controllers]
-        if unknown:
-            raise ValueError(
-                f"unknown tenant(s) {unknown}; resident: "
-                f"{', '.join(self.controllers)}")
-        active = []
-        for name in self.controllers:
-            if name not in batches:
-                continue
-            controller = self.controllers[name]
-            x_bits = np.asarray(batches[name], dtype=np.uint8)
-            if x_bits.ndim != 2 or \
-                    x_bits.shape[1] != controller.in_features:
-                raise ValueError(
-                    f"tenant {name!r}: input shape {x_bits.shape} != "
-                    f"(N, {controller.in_features})")
-            if x_bits.shape[0]:
-                active.append((name, controller, x_bits))
-        if not active:
-            return {name: np.zeros(
-                (0, self.controllers[name].out_features), dtype=np.int64)
-                for name in batches}
-
-        # Pack per tenant at its own width, pad to the shared grid, and
-        # stack the rows of every tenant into one activation batch.
-        packed, padded_rows, row_ranges = {}, [], {}
-        cursor = 0
-        for name, controller, x_bits in active:
-            x_words = pack_bits(x_bits)
-            packed[name] = x_words
-            pad = np.zeros((x_words.shape[0], self.n_words),
-                           dtype=np.uint64)
-            pad[:, :x_words.shape[1]] = x_words
-            padded_rows.append(pad)
-            row_ranges[name] = (cursor, cursor + x_words.shape[0])
-            cursor += x_words.shape[0]
-        x_all = padded_rows[0] if len(padded_rows) == 1 \
-            else np.concatenate(padded_rows)
-        if len(active) == len(self.controllers):
-            words, widths = self.words, self.widths
-            stripe_ranges = self.stripe_ranges
-        else:
-            words = np.concatenate(
-                [self._padded[name] for name, _, _ in active])
-            widths = np.concatenate(
-                [self.controllers[name].plan.widths
-                 for name, _, _ in active])
-            stripe_ranges, stripe_cursor = {}, 0
-            for name, controller, _ in active:
-                stripe_ranges[name] = (
-                    stripe_cursor,
-                    stripe_cursor + controller.plan.grid_rows)
-                stripe_cursor += controller.plan.grid_rows
-
-        counts = packed_xnor_popcount_stacked(x_all, words, widths)
-
-        results: dict[str, np.ndarray] = {}
-        for name, controller, x_bits in active:
-            s0, s1 = stripe_ranges[name]
-            r0, r1 = row_ranges[name]
-            plan = controller.plan
-            n = r1 - r0
-            reduced = np.ascontiguousarray(
-                counts[s0:s1, r0:r1].transpose(1, 0, 2)).reshape(
-                    n, plan.grid_rows * plan.macro_rows)[
-                        :, :controller.out_features]
-            x_words = packed[name]
-            for spec, shard in controller._remapped_specs:
-                xs = packed_column_slice(x_words, spec.col_start,
-                                         spec.col_stop)
-                ones = np.bitwise_count(xs).sum(axis=1, dtype=np.int64)
-                agree = packed_xnor_popcount(xs, shard.weight_words,
-                                             spec.cols)
-                reduced[:, spec.row_start:spec.row_stop] += \
-                    agree - (spec.cols - ones)[:, None]
-            controller._meter_fast(n, trials=1)
-            results[name] = reduced
-        for name in batches:
-            if name not in results:
-                results[name] = np.zeros(
-                    (0, self.controllers[name].out_features),
-                    dtype=np.int64)
-        return results
-
-    def __repr__(self) -> str:
-        tenants = ", ".join(
-            f"{name}:{c.out_features}x{c.in_features}"
-            for name, c in self.controllers.items())
-        return (f"MultiTenantController({tenants} on "
-                f"{self.macro.rows}x{self.macro.cols} macros, "
-                f"{self.n_stripes} fused stripes)")
+                f"fast_path={self.fast_path}{degraded})")
 
 
 class InMemoryDenseLayer:
@@ -1132,11 +881,11 @@ class InMemoryDenseLayer:
     def forward_bits(self, x_bits: np.ndarray,
                      rng: np.random.Generator | None = None,
                      sense: SenseParameters | None = None) -> np.ndarray:
-        pc = self.controller.popcounts(x_bits, rng=rng, sense=sense)
-        f = self.folded
-        dot = 2 * pc - f.in_features
-        return threshold_bits(dot, f.theta[None, :], f.gamma_sign[None, :],
-                              f.beta_sign[None, :])
+        """One read: ``(N, in)`` bits in, ``(N, out)`` bits out — a
+        one-trial :meth:`forward_bits_trials` call."""
+        return self.forward_bits_trials(
+            _single_batch(x_bits, 2), [rng or self.controller.rng],
+            sense=sense)[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
                             sense: SenseParameters | None = None,
@@ -1167,9 +916,11 @@ class InMemoryOutputLayer:
     def forward_scores(self, x_bits: np.ndarray,
                        rng: np.random.Generator | None = None,
                        sense: SenseParameters | None = None) -> np.ndarray:
-        pc = self.controller.popcounts(x_bits, rng=rng, sense=sense)
-        dot = 2 * pc - self.folded.in_features
-        return dot * self.folded.scale[None, :] + self.folded.offset[None, :]
+        """One read: ``(N, classes)`` scores — a one-trial
+        :meth:`forward_scores_trials` call."""
+        return self.forward_scores_trials(
+            _single_batch(x_bits, 2), [rng or self.controller.rng],
+            sense=sense)[0]
 
     def forward_scores_trials(self, x_bits: np.ndarray, rngs,
                               sense: SenseParameters | None = None,

@@ -32,7 +32,8 @@ import numpy as np
 from repro.nn.binary import threshold_bits, to_bits, xnor_popcount
 from repro.nn.conv import Conv1d
 from repro.nn.norm import _BatchNorm
-from repro.rram.accelerator import AcceleratorConfig, MemoryController
+from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
+                                  _single_batch)
 from repro.tensor.im2col import conv_output_length
 
 __all__ = ["FoldedBinaryConv1d", "fold_conv1d_batchnorm_sign",
@@ -156,14 +157,11 @@ class InMemoryConv1dLayer:
 
     def forward_bits(self, x_bits: np.ndarray,
                      rng=None, sense=None) -> np.ndarray:
-        f = self.folded
-        n, _, length = np.asarray(x_bits).shape
-        l_out = f.output_length(length)
-        patches = f._patches(x_bits)
-        pc = self.controller.popcounts(patches, rng=rng, sense=sense)
-        dot = 2 * pc - f.fan_in
-        out = f._threshold(dot)
-        return out.reshape(n, l_out, f.out_channels).transpose(0, 2, 1)
+        """One read: ``(N, C, L)`` bits in, ``(N, C_out, L_out)`` out — a
+        one-trial :meth:`forward_bits_trials` call."""
+        return self.forward_bits_trials(
+            _single_batch(x_bits, 3), [rng or self.controller.rng],
+            sense=sense)[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
                             sense=None, trial_chunk=None) -> np.ndarray:

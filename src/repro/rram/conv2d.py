@@ -26,7 +26,8 @@ import numpy as np
 from repro.nn.binary import threshold_bits, to_bits, xnor_popcount
 from repro.nn.conv import Conv2d
 from repro.nn.norm import _BatchNorm
-from repro.rram.accelerator import AcceleratorConfig, MemoryController
+from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
+                                  _single_batch)
 from repro.tensor.im2col import conv_output_length
 
 __all__ = ["FoldedBinaryConv2d", "fold_conv2d_batchnorm_sign",
@@ -216,21 +217,11 @@ class InMemoryConv2dLayer:
 
     def forward_bits(self, x_bits: np.ndarray,
                      rng=None, sense=None) -> np.ndarray:
-        f = self.folded
-        if f.depthwise:
-            # Channel-local reads; the controller models the device layer
-            # for standard convs, depthwise stays in the folded math.
-            return f.forward_bits(x_bits)
-        n, _, height, width = np.asarray(x_bits).shape
-        h_out, w_out = f.output_shape(height, width)
-        patches = f._patches(x_bits)
-        pc = self.controller.popcounts(patches, rng=rng, sense=sense)
-        dot = 2 * pc - f.fan_in
-        out = _threshold_channels(dot, f.theta[None, :],
-                                  f.gamma_sign[None, :],
-                                  f.beta_sign[None, :])
-        return out.reshape(n, h_out, w_out, f.out_channels) \
-            .transpose(0, 3, 1, 2)
+        """One read: ``(N, C, H, W)`` bits in, ``(N, C_out, H_out,
+        W_out)`` out — a one-trial :meth:`forward_bits_trials` call."""
+        return self.forward_bits_trials(
+            _single_batch(x_bits, 4), [rng or self.controller.rng],
+            sense=sense)[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
                             sense=None, trial_chunk=None) -> np.ndarray:

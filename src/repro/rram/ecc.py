@@ -191,7 +191,8 @@ class EccMemoryController:
                  lifetime=None,
                  fault_map=None,
                  fault_key: int | tuple[int, ...] = ()):
-        from repro.rram.accelerator import AcceleratorConfig, _noise_free
+        from repro.rram.accelerator import (AcceleratorConfig,
+                                            _resolve_fast_path)
         config = (config or AcceleratorConfig()).resolved()
         self.config = config
         self.rng = rng or np.random.default_rng(config.seed)
@@ -214,16 +215,7 @@ class EccMemoryController:
         self.fault_key = (int(fault_key),) if isinstance(fault_key, int) \
             else tuple(int(k) for k in fault_key)
 
-        if fast_path not in (True, False, "auto"):
-            raise ValueError("fast_path must be True, False or 'auto'")
-        deterministic = _noise_free(config) and lifetime is None
-        if fast_path is True and not deterministic:
-            raise ValueError(
-                "fast_path=True requires a noise-free configuration "
-                "(zero device sigma, zero HRS drift, zero sense offset, "
-                "no retention aging); use fast_path='auto' to dispatch")
-        self.fast_path = deterministic if fast_path == "auto" \
-            else bool(fast_path)
+        self.fast_path = _resolve_fast_path(fast_path, config, lifetime)
 
         # ECC decode meters (per stored word of ``code.n`` bits).
         self.ecc_words_decoded = 0
@@ -339,30 +331,24 @@ class EccMemoryController:
         packed-kernel popcount over the corrected bits — the whole batch
         reuses the single fetched buffer (that is ECC's trade: correction
         power for the in-memory locality the paper's 2T2R design keeps).
+        A one-trial :meth:`popcounts_trials` scan reading from ``rng``
+        (the controller's generator by default).
         """
-        from repro.nn.bitops import pack_bits, packed_xnor_popcount
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
             raise ValueError(
                 f"input shape {x_bits.shape} != (N, {self.in_features})")
-        self.popcount_bit_ops += \
-            x_bits.shape[0] * self.out_features * self.in_features
-        if self.fast_path:
-            from repro.rram.accelerator import MemoryController
-            MemoryController._check_sense_override(sense)
-            return packed_xnor_popcount(pack_bits(x_bits),
-                                        self.weight_words, self.in_features)
-        weights = self._fetch_weights(rng or self.rng, sense)
-        return packed_xnor_popcount(pack_bits(x_bits), pack_bits(weights),
-                                    self.in_features)
+        return self.popcounts_trials(x_bits, [rng or self.rng],
+                                     sense=sense)[0]
 
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
                          sense=None,
                          trial_chunk: int | None = None) -> np.ndarray:
         """Trial-batched scans: ``(T, N, out_features)`` counts.
 
-        Trial ``t`` performs exactly one weight fetch drawn from
-        ``rngs[t]`` alone, so the loop is trivially bit-identical to
+        The controller's only scan.  Trial ``t`` performs exactly one
+        weight fetch drawn from ``rngs[t]`` alone, so the loop is
+        trivially bit-identical to
         ``[popcounts(x[t], rng=rngs[t]) for t in range(T)]`` for any
         ``trial_chunk`` (accepted for API parity; the per-trial noise
         tensor here is one weight fetch, already minimal).

@@ -256,13 +256,10 @@ class ShardedRRAMBackend(Backend):
     reports per-macro utilization, area and programming/scan energy from
     the existing floorplan cost model.
 
-    ``stacked`` controls the fast-path read plan per prepared layer:
-    ``"auto"`` (default) builds the program-time
-    :class:`~repro.rram.accelerator.StackedShardPlan` whenever the layer
-    runs noise-free, collapsing the per-shard dispatch loop into one
-    batched kernel; ``False`` keeps the per-shard fast loop (the
-    reference path for equivalence tests).  Reloaded plan artifacts
-    (:func:`repro.io.load_compiled`) rebind through the same
+    Every prepared layer that runs noise-free builds the program-time
+    :class:`~repro.rram.accelerator.StackedShardPlan`, collapsing the
+    per-shard dispatch loop into one batched kernel.  Reloaded plan
+    artifacts (:func:`repro.io.load_compiled`) rebind through the same
     ``prepare_*`` hooks, so they pick up the stacked plan too.
     """
 
@@ -273,7 +270,6 @@ class ShardedRRAMBackend(Backend):
                  rng: np.random.Generator | None = None,
                  fast_path: bool | str = "auto",
                  energy: EnergyModel | None = None,
-                 stacked: bool | str = "auto",
                  lifetime: LifetimeConfig | None = None,
                  fault_map: FaultMap | None = None,
                  spares: int | str = "auto",
@@ -284,7 +280,6 @@ class ShardedRRAMBackend(Backend):
         self.rng = rng or np.random.default_rng(self.config.seed)
         self.fast_path = fast_path
         self.energy = energy or EnergyModel()
-        self.stacked = stacked
         self.lifetime = lifetime
         self.fault_map = fault_map
         self.spares = spares
@@ -316,7 +311,6 @@ class ShardedRRAMBackend(Backend):
         self._macro_offset += placement.n_macros
         controller = ShardedController(weight_bits, placement, self.config,
                                        self.rng, self.fast_path,
-                                       stacked=self.stacked,
                                        lifetime=self.lifetime,
                                        fault_map=local_map,
                                        fault_key=(layer_index,),
@@ -356,8 +350,7 @@ class ShardedRRAMBackend(Backend):
             extras += ", faults"
         return (f"ShardedRRAMBackend(macro={self.macro.rows}x"
                 f"{self.macro.cols}, layers={len(self.placements)}, "
-                f"fast_path={self.fast_path!r}, "
-                f"stacked={self.stacked!r}{extras})")
+                f"fast_path={self.fast_path!r}{extras})")
 
 
 _BACKENDS: dict[str, Callable[[], Backend]] = {

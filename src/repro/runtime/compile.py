@@ -187,7 +187,6 @@ class CompiledModel:
                      for op in self.layer_ops}
             kinds.discard(None)
             labels = {"stacked": "stacked fast path",
-                      "per-shard": "per-shard fast path",
                       "noisy": "noisy per-shard path"}
             via = ", ".join(labels.get(k, k) for k in sorted(kinds))
             remapped = sum(len(p.remapped) for p in placements)

@@ -2,10 +2,11 @@
 
 The contract: for *any* layer shape, macro geometry and batch, the
 program-time stacked plan (one batched kernel over grid-aligned, OR-merged
-shard words), the per-shard fast reference loop (``stacked=False``) and
-the monolithic controller produce identical integer popcounts — including
-``popcounts_trials`` for any trial chunking — and the word-domain column
-slicer equals a bit-domain slice-then-pack for any (start, stop) range.
+shard words), the zero-sigma physical sharded path (``fast_path=False``,
+real per-shard arrays) and the monolithic controller produce identical
+integer popcounts and meters — including ``popcounts_trials`` for any
+trial chunking — and the word-domain column slicer equals a bit-domain
+slice-then-pack for any (start, stop) range.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ def _controllers(weights, macro_rows, macro_cols):
     macro = MacroGeometry(macro_rows, macro_cols)
     return (ShardedController(weights, config=config, macro=macro),
             ShardedController(weights, config=config, macro=macro,
-                              stacked=False),
+                              fast_path=False),
             MemoryController(weights, config))
 
 
@@ -48,10 +49,13 @@ class TestStackedEquivalenceProperty:
         x = _bits(seed + 1, n, in_features)
         stacked, reference, mono = _controllers(weights, macro_rows,
                                                 macro_cols)
-        assert stacked.stacked
+        assert stacked.fast_path_kind == "stacked"
+        assert reference.fast_path_kind == "noisy"
         counts = stacked.popcounts(x)
         assert np.array_equal(counts, reference.popcounts(x))
         assert np.array_equal(counts, mono.popcounts(x))
+        assert stacked.sense_ops == reference.sense_ops
+        assert stacked.popcount_bit_ops == reference.popcount_bit_ops
 
     @given(out_features=DIMS, in_features=DIMS, macro_rows=MACRO_DIMS,
            macro_cols=MACRO_DIMS, n=st.integers(1, 3),

@@ -4,8 +4,8 @@ onto provisioned spare chips instead of failing the deployment.
 Contracts under test:
 
 * a killed macro's shard re-programs onto a healthy spare, so results
-  stay *bit-identical* to the monolithic controller on every read path
-  (stacked fast, per-shard fast, physical);
+  stay *bit-identical* to the monolithic controller on both read paths
+  (stacked fast, zero-sigma physical);
 * the stacked fast path keeps its one batched kernel and corrects only
   the remapped slices;
 * spare provisioning is explicit: more dead macros than spares raises,
@@ -36,15 +36,15 @@ def _dead_map(*macros: int) -> FaultMap:
 
 
 class TestRemapEquivalence:
-    @pytest.mark.parametrize("stacked", ["auto", False])
+    @pytest.mark.parametrize("fast_path", ["auto", False])
     def test_killed_macro_matches_monolithic(self, weights, x_bits,
-                                             stacked):
+                                             fast_path):
         config = AcceleratorConfig(ideal=True)
         mono = MemoryController(weights, config)
         sharded = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24),
                                     fault_map=_dead_map(1, 5),
-                                    stacked=stacked)
+                                    fast_path=fast_path)
         assert sharded.degraded
         assert tuple(sharded.remapped_shards) == (1, 5)
         assert np.array_equal(sharded.popcounts(x_bits),
@@ -55,11 +55,9 @@ class TestRemapEquivalence:
         config = AcceleratorConfig(ideal=True)
         sharded = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24),
-                                    fault_map=_dead_map(0),
-                                    stacked=True)
+                                    fault_map=_dead_map(0))
         healthy = ShardedController(weights, config=config,
-                                    macro=MacroGeometry(8, 24),
-                                    stacked=True)
+                                    macro=MacroGeometry(8, 24))
         assert np.array_equal(sharded.popcounts(x_bits),
                               healthy.popcounts(x_bits))
         # Both ran the one batched stacked kernel, not a per-shard loop.
@@ -91,17 +89,23 @@ class TestRemapEquivalence:
 
     def test_dead_plus_stuck_faults_consistent(self, weights, x_bits):
         """Cell faults apply to healthy shards; the remapped shard's
-        spare chip is fault-free. Stacked and per-shard paths agree."""
+        spare chip is fault-free. The stacked plan and the zero-sigma
+        physical path agree, scans and meters alike."""
         config = AcceleratorConfig(ideal=True)
         fm = FaultMap(stuck_lrs=0.02, dead_macros=(3,), seed=8)
         stacked = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24),
-                                    fault_map=fm, stacked=True)
-        per_shard = ShardedController(weights, config=config,
-                                      macro=MacroGeometry(8, 24),
-                                      fault_map=fm, stacked=False)
+                                    fault_map=fm)
+        physical = ShardedController(weights, config=config,
+                                     macro=MacroGeometry(8, 24),
+                                     fault_map=fm, fast_path=False)
+        assert stacked.fast_path_kind == "stacked"
+        assert physical.fast_path_kind == "noisy"
+        assert sum(s.n_stuck_cells for s in physical.shards) > 0
         assert np.array_equal(stacked.popcounts(x_bits),
-                              per_shard.popcounts(x_bits))
+                              physical.popcounts(x_bits))
+        assert stacked.sense_ops == physical.sense_ops
+        assert stacked.popcount_bit_ops == physical.popcount_bit_ops
 
 
 class TestProvisioning:

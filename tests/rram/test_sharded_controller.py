@@ -203,17 +203,17 @@ class TestNoisyTrials:
 
 class TestStackedPlan:
     """The program-time stacked-shard fast plan: one batched kernel,
-    bit-identical to the per-shard reference loop and the monolithic
-    controller, with meters accounted arithmetically."""
+    bit-identical to the zero-sigma physical sharded path and the
+    monolithic controller, with meters accounted arithmetically."""
 
     def _pair(self, weights, geometry):
-        """(stacked, per-shard reference) controllers on one geometry."""
+        """(stacked, zero-sigma physical reference) on one geometry."""
         config = AcceleratorConfig(ideal=True)
         stacked = ShardedController(weights, config=config,
                                     macro=MacroGeometry(*geometry))
         reference = ShardedController(weights, config=config,
                                       macro=MacroGeometry(*geometry),
-                                      stacked=False)
+                                      fast_path=False)
         return stacked, reference
 
     @pytest.mark.parametrize("geometry", [(32, 32), (7, 13), (8, 24),
@@ -221,7 +221,7 @@ class TestStackedPlan:
     def test_stacked_equals_reference_and_monolithic(self, weights, x_bits,
                                                      geometry):
         stacked, reference = self._pair(weights, geometry)
-        assert stacked.stacked and not reference.stacked
+        assert stacked.plan is not None and reference.plan is None
         mono = MemoryController(weights, AcceleratorConfig(ideal=True))
         counts = stacked.popcounts(x_bits)
         assert np.array_equal(counts, reference.popcounts(x_bits))
@@ -229,7 +229,7 @@ class TestStackedPlan:
 
     def test_one_shard_placement_uses_the_plan(self, weights, x_bits):
         stacked, reference = self._pair(weights, (64, 256))
-        assert stacked.n_shards == 1 and stacked.stacked
+        assert stacked.n_shards == 1 and stacked.plan is not None
         assert np.array_equal(stacked.popcounts(x_bits),
                               reference.popcounts(x_bits))
 
@@ -272,30 +272,29 @@ class TestStackedPlan:
         assert stacked.sense_ops == reference.sense_ops
         assert stacked.popcount_bit_ops == reference.popcount_bit_ops
 
-    def test_stacked_true_requires_fast_path(self, weights):
+    def test_noisy_config_scans_shard_by_shard(self, weights):
         config = AcceleratorConfig(
             device=DeviceParameters(sigma_lrs0=0.0, sigma_hrs0=0.0,
                                     broadening=0.0, hrs_drift=0.0,
                                     device_mismatch=1.0),
             sense=SenseParameters(offset_sigma=0.5))
-        with pytest.raises(ValueError, match="stacked=True"):
-            ShardedController(weights, config=config, fast_path=False,
-                              stacked=True)
-        # auto quietly falls back to the per-shard noisy loop.
-        noisy = ShardedController(weights, config=config, fast_path=False)
-        assert not noisy.stacked and noisy.plan is None
+        noisy = ShardedController(weights, config=config)
+        assert not noisy.fast_path and noisy.plan is None
         assert noisy.fast_path_kind == "noisy"
 
     def test_invalid_stacked_value_raises(self, weights):
-        with pytest.raises(ValueError, match="stacked"):
-            ShardedController(weights, stacked="yes")
+        """Every noise-free controller builds the plan, so there is no
+        ``stacked`` option left to pass."""
+        for value in (False, "yes"):
+            with pytest.raises(TypeError, match="stacked"):
+                ShardedController(weights, stacked=value)
 
     def test_repr_and_kind_report_the_plan(self, weights):
         stacked, reference = self._pair(weights, (8, 16))
-        assert "stacked=True" in repr(stacked)
-        assert "stacked=False" in repr(reference)
+        assert "fast_path=True" in repr(stacked)
+        assert "fast_path=False" in repr(reference)
         assert stacked.fast_path_kind == "stacked"
-        assert reference.fast_path_kind == "per-shard"
+        assert reference.fast_path_kind == "noisy"
 
     def test_profile_populated_by_stacked_scan(self, weights, x_bits):
         stacked, reference = self._pair(weights, (8, 16))

@@ -248,14 +248,15 @@ class TestBeginPlanIsolation:
                                      macro=MacroGeometry(7, 13))
         loaded = load_compiled(path, backend=backend)
         controllers = [op.executor.controller for op in loaded.layer_ops]
-        assert controllers and all(c.stacked for c in controllers)
+        assert controllers and all(c.plan is not None
+                                   for c in controllers)
         assert all(c.fast_path_kind == "stacked" for c in controllers)
         assert "stacked fast path" in loaded.summary()
         reference = load_compiled(
             path, backend=ShardedRRAMBackend(AcceleratorConfig(ideal=True),
                                              macro=MacroGeometry(7, 13),
-                                             stacked=False))
-        assert "per-shard fast path" in reference.summary()
+                                             fast_path=False))
+        assert "noisy per-shard path" in reference.summary()
         assert np.array_equal(loaded.scores(inputs),
                               reference.scores(inputs))
 
