@@ -58,8 +58,8 @@ JSON_PATH = ROOT / "BENCH_multitenant.json"
 FIXTURES = ROOT / "tests" / "fixtures" / "plans"
 BUNDLE = FIXTURES / "eeg_ecg_bundle.npz"
 MODELS = ("eeg", "ecg")
-# Per-model coalescing sweet spots, same rationale as bench_serve.py.
-MAX_BATCH = {"eeg": 256, "ecg": 64}
+# Coalescing ceiling of every daemon, as in bench_serve.py.
+MAX_BATCH = 256
 WINDOW_US = 200.0
 
 
@@ -89,7 +89,8 @@ class _Daemon:
         t0 = time.perf_counter()
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", str(artifact),
-             "--port", str(self.port), "--batch-window", str(WINDOW_US)],
+             "--port", str(self.port), "--batch-window", str(WINDOW_US),
+             "--max-batch", str(MAX_BATCH)],
             env=env, cwd=str(ROOT),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         deadline = time.monotonic() + 60.0
@@ -267,7 +268,7 @@ def main(smoke: bool = False) -> None:
         "models": list(MODELS),
         "requests_per_model": per_model,
         "window_us": WINDOW_US,
-        "max_batch": dict(MAX_BATCH),
+        "max_batch": MAX_BATCH,
         "baseline_sequential_solo_daemons": baseline,
         "multi_tenant_bundle_daemon": multitenant,
         "placement": placement,

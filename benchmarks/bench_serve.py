@@ -48,10 +48,9 @@ JSON_PATH = ROOT / "BENCH_serve.json"
 FIXTURES = ROOT / "tests" / "fixtures" / "plans"
 
 WINDOWS_US = (0.0, 50.0, 200.0, 1000.0)
-# Per-model coalescing ceiling: the per-sample cost curve of the ECG
-# conv1d front turns back up past ~64 rows (cache pressure), so its
-# sweet spot is a smaller dispatch than the EEG front's.
-MAX_BATCH = {"eeg": 256, "ecg": 64}
+# Coalescing ceiling, both models: with the folded analog fronts the
+# per-sample plan cost keeps falling up to 256 rows on EEG and ECG alike.
+MAX_BATCH = 256
 
 
 def _requests_for(artifact, count: int, seed: int = 0):
@@ -157,7 +156,7 @@ def _bench_model(name: str, smoke: bool) -> dict:
 
     artifact = load_plan(FIXTURES / f"{name}_full_binary.npz")
     plan = load_compiled(artifact, backend="packed")
-    max_batch = MAX_BATCH[name]
+    max_batch = MAX_BATCH
     n_requests = 512 if smoke else 4096
     requests = _requests_for(artifact, n_requests)
     plan.predict(requests[0])                      # warm the kernels
@@ -219,7 +218,7 @@ def main(smoke: bool = False) -> None:
         return
     record = {
         "bench": "serve",
-        "max_batch": dict(MAX_BATCH),
+        "max_batch": MAX_BATCH,
         "windows_us": list(WINDOWS_US),
         "models": results,
         "headline": {

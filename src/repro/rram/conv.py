@@ -197,10 +197,10 @@ def max_pool_bits_1d(bits: np.ndarray, kernel: int,
     if bits.ndim != 3:
         raise ValueError(f"expected (N, C, L) bits, got {bits.shape}")
     stride = stride or kernel
-    n, c, length = bits.shape
-    l_out = (length - kernel) // stride + 1
-    sn, sc, sl = bits.strides
-    windows = np.lib.stride_tricks.as_strided(
-        bits, shape=(n, c, l_out, kernel),
-        strides=(sn, sc, sl * stride, sl), writeable=False)
-    return windows.max(axis=-1)
+    # One elementwise max per tap: a reduction over the short window axis
+    # runs ~30x slower.
+    span = stride * ((bits.shape[2] - kernel) // stride) + 1
+    out = bits[:, :, :span:stride].copy()
+    for k in range(1, kernel):
+        np.maximum(out, bits[:, :, k:k + span:stride], out=out)
+    return out

@@ -22,7 +22,9 @@ front-ends
     stage 0 + binarize [+ max-pool]), ``conv2d_front`` (EEG: reshape +
     temporal conv + binarize), ``external`` (the float feature stack of
     a non-lowered model — not reloadable without a ``front_end``
-    callable).
+    callable).  The two conv fronts run folded
+    (:mod:`repro.runtime.analog_front`), bit-identical to the autograd
+    closures kept here as their reference.
 transforms
     ``max_pool1d``, ``flatten``, ``two_row_lookup`` (pre-classifier
     batch-norm + sign over known ±1 inputs), ``avg_pool_bridge`` (the
@@ -44,6 +46,7 @@ from repro.nn.norm import BatchNorm1d, BatchNorm2d, InputNorm
 from repro.nn.pooling import AvgPool1d
 from repro.rram.conv import FoldedBinaryConv1d, max_pool_bits_1d
 from repro.rram.conv2d import FoldedBinaryConv2d
+from repro.runtime.analog_front import conv1d_front, conv2d_front
 from repro.runtime.ir import (BitLayerOp, BitTransformOp, FrontEndOp,
                               OutputLayerOp, PlanOp)
 from repro.tensor import Tensor, no_grad
@@ -106,7 +109,14 @@ def _front_bits(params: dict, arrays: dict):
     return run, "activation bits passthrough"
 
 
-def _front_conv1d(params: dict, arrays: dict):
+def _bn_arrays(params: dict, arrays: dict) -> dict:
+    return {"mean": arrays["bn_mean"], "var": arrays["bn_var"],
+            "gamma": arrays["bn_gamma"], "beta": arrays["bn_beta"],
+            "eps": float(params["bn_eps"])}
+
+
+def _reference_conv1d(params: dict, arrays: dict):
+    """The ECG front in the autograd stack: the bits the fold reproduces."""
     norm = InputNorm(int(params["in_channels"]))
     norm.set_buffer("mean", np.asarray(arrays["norm_mean"],
                                        dtype=np.float64))
@@ -126,10 +136,11 @@ def _front_conv1d(params: dict, arrays: dict):
             bits = max_pool_bits_1d(bits, int(pool_kernel), int(pool_stride))
         return bits
 
-    return run, "input-norm + conv stage 0 + binarize (analog front)"
+    return run
 
 
-def _front_conv2d(params: dict, arrays: dict):
+def _reference_conv2d(params: dict, arrays: dict):
+    """The EEG front in the autograd stack: the bits the fold reproduces."""
     bn = _rebuild_batchnorm(BatchNorm2d, params, arrays)
     weight = Tensor(from_bits(arrays["weight_bits"]))
     n_samples = int(params["n_samples"])
@@ -139,15 +150,42 @@ def _front_conv2d(params: dict, arrays: dict):
 
     def run(inputs: np.ndarray) -> np.ndarray:
         x = Tensor(np.asarray(inputs))
-        if x.ndim != 3:
-            raise ValueError(
-                f"expected (N, electrodes, time), got {x.shape}")
         with no_grad():
             h = x.transpose((0, 2, 1)).reshape(x.shape[0], 1, n_samples,
                                                n_channels)
             h = bn(conv2d_op(h, weight, None, stride, padding))
         return to_bits(h.data)
 
+    return run
+
+
+def _front_conv1d(params: dict, arrays: dict):
+    pool = params.get("pool_kernel")
+    shape = params.get("input_shape")
+    run = conv1d_front(
+        np.asarray(arrays["weight_bits"]), arrays["norm_mean"],
+        arrays["norm_std"], _bn_arrays(params, arrays),
+        int(params["stride"]), int(params["padding"]),
+        (int(pool), int(params["pool_stride"])) if pool is not None else None,
+        int(shape[1]) if shape else None, _reference_conv1d(params, arrays))
+    return run, "input-norm + conv stage 0 + binarize (analog front)"
+
+
+def _front_conv2d(params: dict, arrays: dict):
+    weight_bits = np.asarray(arrays["weight_bits"])
+    stride = [int(s) for s in params["stride"]]
+    padding = [int(p) for p in params["padding"]]
+    if weight_bits.shape[1] != 1 or weight_bits.shape[3] != 1 \
+            or stride[1] != 1 or padding[1] != 0:
+        raise PlanSerializationError(
+            "conv2d_front expects a per-electrode temporal kernel "
+            "(C_out, 1, K, 1) with stride (s, 1) and padding (p, 0); got "
+            f"weights {weight_bits.shape}, stride {tuple(stride)}, "
+            f"padding {tuple(padding)}")
+    run = conv2d_front(
+        weight_bits, _bn_arrays(params, arrays), int(params["n_channels"]),
+        int(params["n_samples"]), stride[0], padding[0],
+        _reference_conv2d(params, arrays))
     return run, "temporal conv + binarize (analog front)"
 
 

@@ -86,7 +86,8 @@ class TestDocs:
         for module in ("repro.rram.analog", "repro.rram.floorplan",
                        "repro.nn.bitops", "repro.nn.quant",
                        "repro.data.filters", "repro.metrics", "repro.io",
-                       "repro.viz", "repro.cli", "repro.rram.conv2d"):
+                       "repro.viz", "repro.cli", "repro.rram.conv2d",
+                       "repro.runtime.analog_front"):
             assert module in text, f"{module} missing from DESIGN.md"
 
     def test_readme_quickstart_code_runs_conceptually(self):
