@@ -31,12 +31,30 @@ Quick start::
     from repro.rram import deploy_classifier, classifier_input_bits
 
 See ``examples/quickstart.py`` for an end-to-end train-and-deploy run.
+
+Subpackages load on first access (PEP 562), so ``import repro`` costs
+nothing and loading a plan imports only the inference stack — numpy, not
+the training, data or analysis code and not scipy (DESIGN.md, "Import
+surface").
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from repro import analysis, data, experiments, models, nn, optim, rram, tensor
-from repro import io, metrics, runtime, viz
+_SUBPACKAGES = ("analysis", "data", "experiments", "io", "metrics", "models",
+                "nn", "optim", "rram", "runtime", "tensor", "viz")
 
-__all__ = ["analysis", "data", "experiments", "io", "metrics", "models",
-           "nn", "optim", "rram", "runtime", "tensor", "viz", "__version__"]
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        # import_module binds the submodule as a package attribute, so
+        # this hook runs at most once per subpackage.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBPACKAGES})

@@ -7,7 +7,6 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.cli import analytic
 from repro.cli.registry import EXPERIMENTS
 
 __all__ = ["main", "build_parser"]
@@ -205,16 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--overwrite", action="store_true",
                            help="allow --checkpoint/--save to replace "
                                 "existing files")
-    from repro.experiments.workloads import SWEEP_WORKLOADS
+    # The workload name is checked in _cmd_sweep: listing the choices here
+    # would import the training stack on every CLI start, daemon included.
     sweep_cmd = sub.add_parser(
         "sweep",
         help="run a persisted, resumable parameter sweep (optionally on "
              "a process pool)")
     sweep_cmd.add_argument("workload",
-                           choices=sorted(SWEEP_WORKLOADS),
-                           help="; ".join(
-                               f"{name}: {SWEEP_WORKLOADS[name].description}"
-                               for name in sorted(SWEEP_WORKLOADS)))
+                           help="stock workload name; an unknown name "
+                                "lists the valid ones")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="worker processes (1 = serial)")
     sweep_cmd.add_argument("--trials", type=int, default=1,
@@ -303,8 +301,10 @@ def _cmd_run(exp_id: str, jobs: int = 1) -> str:
         raise SystemExit(
             f"{info.id} is a training experiment; run it with:\n"
             f"  pytest {info.bench} --benchmark-only -s")
-    runner = getattr(analytic, info.runner)
     import inspect
+
+    from repro.cli import analytic
+    runner = getattr(analytic, info.runner)
     if "jobs" in inspect.signature(runner).parameters:
         return runner(jobs=jobs)
     text = runner()
@@ -910,7 +910,13 @@ def _cmd_sweep(workload: str, jobs: int, out: str | None, trials: int = 1,
     from repro.experiments import RateProgress, Sweep, grid, run_parallel
     from repro.experiments.workloads import SWEEP_WORKLOADS
 
-    spec = SWEEP_WORKLOADS[workload]
+    spec = SWEEP_WORKLOADS.get(workload)
+    if spec is None:
+        valid = "\n".join(f"  {name}: {SWEEP_WORKLOADS[name].description}"
+                          for name in sorted(SWEEP_WORKLOADS))
+        print(f"repro sweep: unknown workload {workload!r}; valid "
+              f"workloads:\n{valid}", file=sys.stderr)
+        raise SystemExit(2)
     fn = spec.fn
     points = grid(**spec.axes(int(trials)))
     x_axis, metric, split = spec.x_axis, spec.metric, spec.split
@@ -991,8 +997,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "run":
             print(_cmd_run(args.id, args.jobs))
         elif args.command == "memory":
+            from repro.cli import analytic
             print(analytic.run_table4())
         elif args.command == "energy":
+            from repro.cli import analytic
             print(analytic.run_energy())
         elif args.command == "compile":
             print(_cmd_compile(args.model, args.backend, args.mode,

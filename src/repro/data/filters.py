@@ -10,12 +10,14 @@ verified spectrally in tests.
 All filters operate on arrays shaped ``(..., time)`` — the trailing axis is
 time, matching the ``(trials, channels, samples)`` layout of
 :mod:`repro.data.eeg` / :mod:`repro.data.ecg`.
+
+``scipy.signal`` (about 1 s and 77 MB on first import) is imported inside
+the functions that call it, so importing :mod:`repro.data` stays cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 __all__ = [
     "bandpass_filter",
@@ -57,6 +59,7 @@ def bandpass_filter(data: np.ndarray, low_hz: float, high_hz: float,
         raise ValueError(
             f"need 0 < low ({low_hz}) < high ({high_hz}) < Nyquist "
             f"({nyquist})")
+    from scipy import signal as sp_signal
     sos = sp_signal.butter(order, [low_hz, high_hz], btype="bandpass",
                            fs=sample_rate_hz, output="sos")
     return sp_signal.sosfiltfilt(sos, np.asarray(data, dtype=float), axis=-1)
@@ -69,6 +72,7 @@ def notch_filter(data: np.ndarray, notch_hz: float, sample_rate_hz: float,
     if not 0 < notch_hz < sample_rate_hz / 2:
         raise ValueError(
             f"notch frequency {notch_hz} outside (0, Nyquist)")
+    from scipy import signal as sp_signal
     b, a = sp_signal.iirnotch(notch_hz, quality, fs=sample_rate_hz)
     return sp_signal.filtfilt(b, a, np.asarray(data, dtype=float), axis=-1)
 
@@ -81,6 +85,7 @@ def remove_baseline_wander(data: np.ndarray, sample_rate_hz: float,
     sample_rate_hz = _validate_rate(sample_rate_hz)
     if not 0 < cutoff_hz < sample_rate_hz / 2:
         raise ValueError(f"cutoff {cutoff_hz} outside (0, Nyquist)")
+    from scipy import signal as sp_signal
     sos = sp_signal.butter(2, cutoff_hz, btype="highpass",
                            fs=sample_rate_hz, output="sos")
     return sp_signal.sosfiltfilt(sos, np.asarray(data, dtype=float), axis=-1)
@@ -103,6 +108,7 @@ def band_power(data: np.ndarray, low_hz: float, high_hz: float,
         raise ValueError(
             f"band [{low_hz}, {high_hz}] outside [0, Nyquist]")
     nperseg = min(data.shape[-1], int(2 * sample_rate_hz))
+    from scipy import signal as sp_signal
     freqs, psd = sp_signal.welch(data, fs=sample_rate_hz, nperseg=nperseg,
                                  axis=-1)
     mask = (freqs >= low_hz) & (freqs <= high_hz)
@@ -140,5 +146,6 @@ def resample_signal(data: np.ndarray, rate_in_hz: float, rate_out_hz: float
     scaled_out = int(round(rate_out_hz * 1000))
     common = gcd(scaled_in, scaled_out)
     up, down = scaled_out // common, scaled_in // common
+    from scipy import signal as sp_signal
     return sp_signal.resample_poly(np.asarray(data, dtype=float), up, down,
                                    axis=-1)

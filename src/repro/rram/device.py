@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["ResistiveState", "DeviceParameters", "RRAMDevice",
            "analytic_ber_1t1r", "analytic_ber_2t2r"]
@@ -169,6 +168,8 @@ def analytic_ber_1t1r(params: DeviceParameters, cycles: float | np.ndarray,
     s_lrs = np.sqrt((mismatch * params.sigma_lrs(cycles)) ** 2 + extra)
     z_hrs = (params.mu_hrs(cycles) - ln_ref) / s_hrs
     z_lrs = (ln_ref - params.mu_lrs(cycles)) / s_lrs
+    # Imported here so that loading a plan never imports scipy.
+    from scipy.stats import norm
     return 0.5 * (norm.sf(z_hrs) + norm.sf(z_lrs))
 
 
@@ -187,4 +188,5 @@ def analytic_ber_2t2r(params: DeviceParameters, cycles: float | np.ndarray,
         params.sigma_hrs(cycles) ** 2
         + (params.device_mismatch * params.sigma_lrs(cycles)) ** 2
         + sense_offset_sigma ** 2)
+    from scipy.stats import norm
     return norm.sf(mu_gap / sigma)

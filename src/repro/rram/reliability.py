@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.rram.device import DeviceParameters
 
@@ -175,6 +174,8 @@ def retention_ber_1t1r(params: DeviceParameters, retention: RetentionModel,
     mu_lrs = params.mu_lrs(cycles) + retention.lrs_shift(hours)
     z_hrs = (mu_hrs - ln_ref) / s_hrs
     z_lrs = (ln_ref - mu_lrs) / s_lrs
+    # Imported here so that loading a plan never imports scipy.
+    from scipy.stats import norm
     return 0.5 * (norm.sf(z_hrs) + norm.sf(z_lrs))
 
 
@@ -195,6 +196,7 @@ def retention_ber_2t2r(params: DeviceParameters, retention: RetentionModel,
         + (params.device_mismatch * params.sigma_lrs(cycles)) ** 2
         + 2 * retention.extra_sigma(hours) ** 2
         + sense_offset_sigma ** 2)
+    from scipy.stats import norm
     return norm.sf(mu_gap / sigma)
 
 

@@ -46,6 +46,7 @@ model — drain, don't drop — then joins it.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections.abc import Mapping
@@ -58,6 +59,13 @@ from repro.serve.stats import ServeStats, render_tenant_table
 
 __all__ = ["PlanServer", "HttpFront", "ServeRequest", "QueueFull",
            "ServerClosed", "UnknownModel"]
+
+# Request-body cap of the HTTP front: a JSON number of a served sample
+# takes at most 24 bytes ("-1.2345678901234567e-308"), so 32 covers it
+# with its separator and the nesting brackets; the envelope covers the
+# keys and the model name.
+JSON_BYTES_PER_NUMBER = 32
+JSON_ENVELOPE_BYTES = 4096
 
 
 class QueueFull(RuntimeError):
@@ -285,10 +293,15 @@ class PlanServer:
         sample, auto-wrapped).  ``model`` routes to the named tenant
         (optional when a single model is served).  Returns the request's
         handle; raises :class:`UnknownModel` for a bad route,
+        :class:`ValueError` for a bad shape or a non-finite value,
         :class:`QueueFull` under backpressure and :class:`ServerClosed`
         once draining."""
         tenant = self._resolve(model)
-        inputs = np.ascontiguousarray(inputs, dtype=tenant.dtype)
+        try:
+            inputs = np.ascontiguousarray(inputs, dtype=tenant.dtype)
+        except OverflowError as error:   # e.g. inf or 300 for a uint8 model
+            raise ValueError(f"request values do not fit {tenant.dtype} "
+                             f"for model {tenant.name!r}: {error}") from None
         if tenant.input_shape is not None and \
                 inputs.shape == tenant.input_shape:
             inputs = inputs[None]
@@ -302,6 +315,12 @@ class PlanServer:
             raise ValueError(
                 f"request must be (rows,) + sample shape, "
                 f"got {inputs.shape}")
+        if inputs.dtype.kind == "f":
+            bad = inputs.size - np.count_nonzero(np.isfinite(inputs))
+            if bad:
+                raise ValueError(
+                    f"request has {bad} non-finite (NaN/Inf) input "
+                    f"value(s) for model {tenant.name!r}")
         now = time.monotonic()
         with self._cond:
             if self._draining:
@@ -432,6 +451,19 @@ class PlanServer:
                 self._stat(tenant, "record_complete", handle.latency)
 
 
+def _max_body_bytes(server: PlanServer) -> int | None:
+    """The largest JSON body any served model could admit: its whole
+    admission queue of samples at :data:`JSON_BYTES_PER_NUMBER` each.  A
+    model without a declared input shape admits any sample size, so
+    then there is no cap."""
+    numbers = []
+    for model in server.describe_models():
+        if model["input_shape"] is None:
+            return None
+        numbers.append(model["max_queue"] * math.prod(model["input_shape"]))
+    return max(numbers) * JSON_BYTES_PER_NUMBER + JSON_ENVELOPE_BYTES
+
+
 def _require_deterministic(plan) -> None:
     """Serving demuxes one batched evaluation into per-request answers;
     that is only bit-identical to solo evaluation when every substrate op
@@ -466,9 +498,12 @@ class HttpFront:
     client error whose body lists the served models.  Backpressure
     surfaces as 429 (retryable) / 413 (request larger than the queue); a
     draining daemon answers 503; unknown paths get a structured 404 that
-    lists the routes.  One thread per in-flight connection (stdlib
-    ``ThreadingHTTPServer``); all of them funnel into the single
-    executor through the per-model admission queues.
+    lists the routes.  A ``Content-Length`` that is not a non-negative
+    integer is a 400, and one above :attr:`max_body_bytes` a 413, both
+    sent before reading the body and closing the connection.  One thread
+    per in-flight connection (stdlib ``ThreadingHTTPServer``); all of
+    them funnel into the single executor through the per-model admission
+    queues.
     """
 
     ROUTES = ("GET /healthz", "GET /v1/models", "GET /v1/stats",
@@ -478,6 +513,7 @@ class HttpFront:
                  port: int = 0, request_timeout: float = 30.0):
         self.server = server
         self.request_timeout = float(request_timeout)
+        self.max_body_bytes = _max_body_bytes(server)
         front = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -490,11 +526,14 @@ class HttpFront:
             def log_message(self, *args):   # quiet: stats, not access logs
                 pass
 
-            def _reply(self, code: int, payload: dict) -> None:
+            def _reply(self, code: int, payload: dict,
+                       close: bool = False) -> None:
                 body = json.dumps(payload).encode()
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if close:                   # also ends the keep-alive loop
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -521,8 +560,25 @@ class HttpFront:
                 if self.path != "/v1/predict":
                     self._not_found()
                     return
+                raw_length = self.headers.get("Content-Length", "0")
+                length = raw_length.strip()
+                # The body stays unread on a refusal, so its framing is
+                # lost and the connection closes after the reply.
+                if not (length.isascii() and length.isdigit()):
+                    self._reply(400, {"error": "bad Content-Length "
+                                               f"{raw_length!r}"},
+                                close=True)
+                    return
+                length = int(length)
+                if front.max_body_bytes is not None and \
+                        length > front.max_body_bytes:
+                    self._reply(413, {
+                        "error": f"request body of {length} bytes exceeds "
+                                 f"the {front.max_body_bytes}-byte limit "
+                                 "(a full admission queue of the largest "
+                                 "model)"}, close=True)
+                    return
                 try:
-                    length = int(self.headers.get("Content-Length", 0))
                     payload = json.loads(self.rfile.read(length))
                     inputs = payload["inputs"]
                     model = payload.get("model")

@@ -221,9 +221,15 @@ class TestSweepRegistry:
             assert spec.description
             assert callable(spec.fn)
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_workload_rejected(self, capsys):
+        from repro.experiments.workloads import SWEEP_WORKLOADS
+        with pytest.raises(SystemExit) as info:
             main(["sweep", "banana"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'banana'" in err
+        for name, spec in SWEEP_WORKLOADS.items():
+            assert f"{name}: {spec.description}" in err
 
     def test_sweep_lifetime_resumable_jsonl(self, tmp_path, capsys):
         out = tmp_path / "lifetime.jsonl"

@@ -6,6 +6,7 @@ coalescing; a long window with no fill keeps requests queued until a
 drain; ``window=0`` serves each submission immediately.
 """
 
+import json
 import pathlib
 import urllib.error
 import urllib.request
@@ -260,3 +261,138 @@ class TestHttpFront:
             assert info.value.code == 503
         finally:
             front.shutdown(drain=True)
+
+
+class TestNonFiniteInputs:
+    """NaN/Inf rows are refused at admission; the finite requests of the
+    same burst still coalesce and get their solo answers."""
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_refused_in_process_burst_unharmed(self, poison):
+        server = _server(max_batch=2, window=LONG)
+        first = np.full((1, 3), 1.5)
+        bad = np.array([[0.0, poison, 1.0]])
+        second = np.full((1, 3), -2.25)
+        handle_first = server.submit(first)
+        with pytest.raises(ValueError, match="non-finite"):
+            server.submit(bad)
+        handle_second = server.submit(second)      # fills the batch
+        for request, handle in ((first, handle_first),
+                                (second, handle_second)):
+            assert handle.wait(10.0) and handle.error is None
+            assert np.array_equal(handle.scores,
+                                  _SumPlan().scores(request))
+        snapshot = server.stats.snapshot()
+        assert snapshot["batches"] == 1 and snapshot["completed"] == 2
+        server.close()
+
+    def test_inf_for_a_uint8_model_is_a_value_error(self):
+        server = _server(window=0.0, dtype=np.uint8)
+        with pytest.raises(ValueError, match="uint8"):
+            server.submit([[1, float("inf"), 0]])
+        server.close()
+
+    def test_refused_over_http_burst_unharmed(self):
+        import threading
+
+        server = _server(max_batch=2, window=LONG)
+        front = HttpFront(server, port=0).start()
+        first = np.full((1, 3), 0.75)
+        second = np.full((1, 3), 4.0)
+        answers = {}
+
+        def send(name, request):
+            client = ServeClient(front.url, timeout=30.0)
+            answers[name] = client.predict(request)
+            client.close()
+
+        try:
+            sender = threading.Thread(target=send, args=("first", first))
+            sender.start()
+            for _ in range(10_000):              # until first is admitted
+                if server.queue_depth:
+                    break
+                sender.join(0.001)
+            assert server.queue_depth == 1
+            client = ServeClient(front.url)
+            with pytest.raises(ServeHTTPError) as info:
+                client.predict(np.array([[1.0, np.nan, 2.0]]))
+            assert info.value.status == 400
+            assert "non-finite" in str(info.value)
+            client.close()
+            send("second", second)                # fills the batch
+            sender.join(30.0)
+            assert not sender.is_alive()
+            for name, request in (("first", first), ("second", second)):
+                assert np.array_equal(answers[name]["scores"],
+                                      _SumPlan().scores(request))
+            assert server.stats.snapshot()["batches"] == 1
+        finally:
+            front.shutdown(drain=True)
+
+
+class TestContentLength:
+    """The body length is checked before a byte of the body is read."""
+
+    @staticmethod
+    def _post_header_only(front, length: str):
+        import http.client
+
+        conn = http.client.HTTPConnection(front.host, front.port,
+                                          timeout=10.0)
+        conn.putrequest("POST", "/v1/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        closed = response.getheader("Connection") == "close"
+        conn.close()
+        return response.status, payload, closed
+
+    @pytest.mark.parametrize("length", ["-1", "12abc", "1.5", "+4", ""])
+    def test_malformed_length_is_400(self, length):
+        server = _server(window=0.0)
+        front = HttpFront(server, port=0).start()
+        try:
+            status, payload, closed = self._post_header_only(front, length)
+            assert status == 400 and "Content-Length" in payload["error"]
+            assert closed
+            # The front keeps serving fresh connections.
+            client = ServeClient(front.url)
+            request = np.ones((1, 3))
+            assert np.array_equal(client.predict(request)["scores"],
+                                  _SumPlan().scores(request))
+            client.close()
+        finally:
+            front.shutdown(drain=True)
+
+    def test_oversized_body_is_413_before_reading(self):
+        from repro.serve.server import (JSON_BYTES_PER_NUMBER,
+                                        JSON_ENVELOPE_BYTES)
+
+        server = _server(window=0.0, max_queue=4)
+        front = HttpFront(server, port=0).start()
+        try:
+            limit = 4 * 3 * JSON_BYTES_PER_NUMBER + JSON_ENVELOPE_BYTES
+            assert front.max_body_bytes == limit
+            # No body follows: a front that tried to read it would time
+            # the client out instead of answering.
+            status, payload, closed = self._post_header_only(
+                front, str(10 ** 12))
+            assert status == 413 and str(limit) in payload["error"]
+            assert closed
+            # A full admission queue of the longest float reprs fits.
+            client = ServeClient(front.url)
+            request = np.full((4, 3), -1.2345678901234567e-308)
+            assert np.array_equal(client.predict(request)["scores"],
+                                  _SumPlan().scores(request))
+            client.close()
+        finally:
+            front.shutdown(drain=True)
+
+    def test_shapeless_model_has_no_cap(self):
+        server = PlanServer(_SumPlan(), window=0.0, dtype=np.float64)
+        front = HttpFront(server, port=0).start()
+        assert front.max_body_bytes is None
+        front.shutdown(drain=True)

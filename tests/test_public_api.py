@@ -51,6 +51,15 @@ class TestTopLevel:
                      "analysis", "experiments"):
             assert hasattr(repro, name)
 
+    def test_dir_lists_every_subpackage(self):
+        for name in repro.__all__:
+            assert name in dir(repro)
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nosuch"):
+            repro.nosuch
+        assert not hasattr(repro, "nosuch")
+
     def test_no_name_collisions_across_packages(self):
         """A symbol exported by two packages must be the same object
         (re-export), never two different things with one name."""
