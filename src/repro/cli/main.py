@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "evaluating (default 0 = fresh)")
     deploy_cmd.add_argument("--temp", type=float, default=37.0,
                             help="storage temperature in deg C for "
-                                 "--years (default 37, body "
-                                 "temperature)")
+                                 "--years, which it requires (default "
+                                 "37, body temperature)")
     deploy_cmd.add_argument("--kill-macro", type=int, action="append",
                             default=None, metavar="INDEX",
                             help="mark this chip-global macro index dead "
@@ -342,16 +342,18 @@ def _parse_macro(spec: str):
 
 def _backend_specs(spec: str) -> list[str]:
     """``--backend`` value -> the backend specs to run (``all`` = every
-    substrate the agreement contract covers); exits on an unknown name."""
+    substrate the agreement contract covers); exits on an unknown name.
+    ``ideal-rram`` is the CLI's name for the noise-free rram chip
+    (:func:`_make_backend`), so it is accepted alongside the registry."""
     from repro.runtime import available_backends
 
     if spec == "all":
         return ["reference", "packed", "ideal-rram", "sharded"]
-    if spec in available_backends():
+    if spec == "ideal-rram" or spec in available_backends():
         return [spec]
     raise SystemExit(
         f"unknown backend {spec!r}; registered: "
-        f"{', '.join(available_backends())} (or 'all')")
+        f"{', '.join(available_backends())}, ideal-rram (or 'all')")
 
 
 def _make_backend(spec: str, macro, *, ecc: str = "none", lifetime=None,
@@ -556,6 +558,9 @@ def _cmd_deploy(artifact_path: str, backend_spec: str = "all",
     if ignored:
         raise SystemExit(f"no requested backend ({', '.join(specs)}) uses "
                          f"{'; '.join(ignored)}")
+    if temp != 37.0 and years <= 0:
+        raise SystemExit("--temp sets the storage temperature for --years "
+                         "and has no effect without it; pass --years too")
     lifetime = LifetimeConfig.years(years, temp) if years > 0 else None
     fault_map = FaultMap(dead_macros=tuple(kill_macros)) \
         if kill_macros else None

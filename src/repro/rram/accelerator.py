@@ -163,10 +163,12 @@ class MemoryController:
     * **noisy path**: tiles are programmed as physical
       :class:`~repro.rram.array.RRAMArray` macros, their differential
       sense margins are stacked into one ``(out, in)`` matrix, and a scan
-      draws fresh per-read offsets once per batch chunk and reduces over
-      every tile in a single vectorized pass (no per-tile Python loop).
-      The batch axis is chunked so the offset tensor never exceeds
-      ``read_chunk_elems`` elements.
+      draws fresh per-read offsets for one block of batch rows at a time
+      and reduces over every tile in a single vectorized pass (no
+      per-tile Python loop).  Trials run one after another through the
+      same scratch: one float64 offset buffer and one bool buffer of at
+      most ``read_chunk_elems`` elements, filled in place, so a scan's
+      memory does not grow with the trial count.
 
     Thread reentrancy: **fast-path** reads are safe from any number of
     threads — the scan touches only the immutable packed ``weight_words``
@@ -180,7 +182,7 @@ class MemoryController:
     pass explicit per-trial ``rng`` streams (the MC engine) or serialize.
     """
 
-    read_chunk_elems = READ_CHUNK_ELEMS   # offset-tensor budget per scan
+    read_chunk_elems = READ_CHUNK_ELEMS   # one trial's offset scratch
 
     def __init__(self, weight_bits: np.ndarray,
                  config: AcceleratorConfig | None = None,
@@ -407,7 +409,7 @@ class MemoryController:
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
                          sense: SenseParameters | None = None,
                          trial_chunk: int | None = None) -> np.ndarray:
-        """Trial-batched XNOR-popcounts: ``T`` noisy scans in one pass.
+        """Trial-batched XNOR-popcounts: ``T`` noisy scans in one call.
 
         ``x_bits`` is either a shared ``(N, in_features)`` batch (every
         trial sees the same activations — the Monte-Carlo case) or a
@@ -418,11 +420,19 @@ class MemoryController:
 
         This is the controller's only scan (:meth:`popcounts` is a
         one-trial call).  Trial ``t`` draws every offset from ``rngs[t]``
-        alone, so the result is bit-identical to ``[popcounts(x[t],
-        rng=rngs[t]) for t in range(T)]`` for any ``trial_chunk`` (numpy
-        normal draws are split-stable; see :mod:`repro.rram.mc`).  The
-        stacked ``(T_chunk, N_chunk, out, in)`` offset tensor is bounded
-        by ``read_chunk_elems``.
+        alone, rows in order, so the result is bit-identical to
+        ``[popcounts(x[t], rng=rngs[t]) for t in range(T)]`` (numpy
+        normal draws are split-stable; see :mod:`repro.rram.mc`).
+
+        The noisy scan runs in place: each block of rows draws its
+        offsets into one reused float64 buffer of at most
+        ``read_chunk_elems`` elements, compares them against the negated
+        margins into one reused bool buffer, XNORs the inputs into the
+        same buffer and counts agreements.  ``offset > -margin`` decides
+        exactly like ``margin + offset > 0``, because rounding a
+        two-term sum keeps its sign (also for infinite margins).  Every
+        trial reuses the same scratch, so ``trial_chunk`` is accepted
+        but no longer changes the noisy path's memory.
 
         On the fast path reads are deterministic, so all trials are the
         one packed-kernel result broadcast over the trial axis.
@@ -444,28 +454,23 @@ class MemoryController:
                                      self.weight_words, self.in_features)
                 for t in range(n_trials)])
         margins = self._stacked_margins()
+        neg_margins = np.negative(margins)
         x_bool = x_bits.astype(bool)
         counts = np.empty((n_trials, n, out_p), dtype=np.int64)
         sense = sense or self.config.sense
-        per_trial = n * out_p * self.in_features
-        for t0, t1 in trial_chunks(n_trials, per_trial,
-                                   self.read_chunk_elems, trial_chunk):
-            sub = rngs[t0:t1]
-            chunk = max(1, self.read_chunk_elems
-                        // max(1, len(sub) * out_p * self.in_features))
+        chunk = max(1, min(n, self.read_chunk_elems // max(1, margins.size)))
+        offsets = np.empty((chunk,) + margins.shape)
+        hit = np.empty(offsets.shape, dtype=bool)
+        for t, rng in enumerate(rngs):
+            xt = x_bool if shared else x_bool[t]
             for start in range(0, n, chunk):
-                xs = x_bool[start:start + chunk] if shared \
-                    else x_bool[t0:t1, start:start + chunk]
-                rows = xs.shape[0] if shared else xs.shape[1]
-                offsets = np.stack([
-                    sense.offset(rng, (rows,) + margins.shape)
-                    for rng in sub])
-                weight_read = (margins[None, None] + offsets) > 0
-                x_cmp = xs[None, :, None, :] if shared \
-                    else xs[:, :, None, :]
-                agree = weight_read == x_cmp
-                counts[t0:t1, start:start + rows] = \
-                    agree.sum(axis=3, dtype=np.int64)
+                rows = min(chunk, n - start)
+                block = sense.offset(rng, (rows,) + margins.shape,
+                                     out=offsets[:rows])
+                read = np.greater(block, neg_margins, out=hit[:rows])
+                np.equal(read, xt[start:start + rows, None, :], out=read)
+                counts[t, start:start + rows] = np.count_nonzero(read,
+                                                                 axis=2)
         return counts[:, :, :self.out_features]
 
 

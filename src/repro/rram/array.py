@@ -42,7 +42,7 @@ class RRAMArray:
         (single-ended baseline).
     """
 
-    read_chunk_elems = READ_CHUNK_ELEMS   # noise-tensor budget per MC scan
+    read_chunk_elems = READ_CHUNK_ELEMS   # read-stack budget per MC window
 
     def __init__(self, n_rows: int = 32, n_cols: int = 32,
                  params: DeviceParameters | None = None,
@@ -262,15 +262,22 @@ class RRAMArray:
         :func:`repro.rram.mc.trial_streams`); returns ``(T, rows, cols)``
         sensed bits.  Trial ``t`` draws its offsets from ``rngs[t]``
         alone, so the stack is bit-identical to ``[read_all(rng=r) for r
-        in rngs]`` while the margin-plus-offset decision runs as a single
-        broadcast compare over the leading trial axis.
+        in rngs]``.  Each trial draws into one reused offset buffer and
+        writes ``offset > -margin`` (exactly ``margin + offset > 0``:
+        rounding a two-term sum keeps its sign) straight into its slice
+        of the returned stack, so no trial-stacked float tensor exists.
         """
         self._check_programmed(None, None)
         shape = (self.n_rows, self.n_cols)
-        offsets = np.stack([self.amplifiers.params.offset(rng, shape)
-                            for rng in rngs])
-        self.amplifiers.sense_count += offsets.size
-        return (self._read_margin()[None] + offsets > 0).astype(np.uint8)
+        neg_margin = np.negative(self._read_margin())
+        bits = np.empty((len(rngs),) + shape, dtype=np.uint8)
+        decided = bits.view(bool)
+        offsets = np.empty(shape)
+        for t, rng in enumerate(rngs):
+            self.amplifiers.params.offset(rng, shape, out=offsets)
+            np.greater(offsets, neg_margin, out=decided[t])
+        self.amplifiers.sense_count += bits.size
+        return bits
 
     def read_all_xnor(self, input_bits: np.ndarray) -> np.ndarray:
         """XNOR every stored row with ``input_bits`` (one read per row).

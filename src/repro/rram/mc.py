@@ -19,9 +19,14 @@ primitives that let the whole repository amortize it:
 * **trial-batched evaluation** — the noisy read paths of
   :class:`~repro.rram.array.RRAMArray` and
   :class:`~repro.rram.accelerator.MemoryController` accept a stack of
-  trial streams and evaluate every trial in one vectorized pass over a
-  leading ``(T, ...)`` axis, chunked so the stacked offset tensor stays
-  inside the controller's element budget.
+  trial streams and return every trial's result along a leading
+  ``(T, ...)`` axis.  Programming, margins and bookkeeping are shared;
+  each trial's offsets are drawn in place into one reused buffer
+  (``SenseParameters.offset(rng, shape, out=buf)``), so no
+  trial-stacked noise tensor is ever built.  A controller's
+  ``read_chunk_elems`` bounds that buffer — one trial's scratch, split
+  into blocks of batch rows — and ``trial_chunk`` is still accepted on
+  the noisy controller path but no longer changes its memory.
 
 The RNG-stream contract, in one line: *the root seed programs, child
 stream* ``t`` *reads trial* ``t``.  Programming (device resistance
@@ -39,9 +44,10 @@ import numpy as np
 __all__ = ["READ_CHUNK_ELEMS", "trial_streams", "trial_chunks",
            "shard_streams", "site_stream", "read_bit_errors"]
 
-#: Shared element budget for stacked noise tensors: every chunked scan
-#: (array reads, controller scans, endurance windows) bounds its offset
-#: stack to this many elements.  Chunking never changes results — streams
+#: Shared element budget for noisy-read scratch: a controller scan's
+#: reused offset buffer (one trial's block of batch rows), the trial
+#: windows of :func:`read_bit_errors` and the endurance windows stay
+#: within this many elements.  Chunking never changes results — streams
 #: are split-stable — so this is purely a peak-memory knob.
 READ_CHUNK_ELEMS = 1 << 22
 
@@ -141,7 +147,8 @@ def read_bit_errors(array, expected_bits: np.ndarray,
     reads of ``array`` (one per stream in ``rngs``), each compared against
     ``expected_bits``; returns an ``(T,)`` int64 error-count vector.  The
     array is programmed once by the caller and never mutated here, so the
-    cost per extra trial is one offset draw plus one vectorized compare.
+    cost per extra trial is one in-place offset draw plus one vectorized
+    compare.  Trial windows bound the uint8 read stack.
 
     Bit-identical to ``[int((array.read_all(rng=r) != expected_bits).sum())
     for r in rngs]`` for any ``trial_chunk``.

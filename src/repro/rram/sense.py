@@ -38,10 +38,31 @@ class SenseParameters:
     offset_sigma: float = 0.15
     energy_fj: float = 7.0
 
-    def offset(self, rng: np.random.Generator, shape=()) -> np.ndarray:
+    def offset(self, rng: np.random.Generator, shape=(),
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Draw one input-referred offset per sense operation.
+
+        ``out`` (a C-contiguous float64 array of ``shape``) receives the
+        draws in place: ``standard_normal(out=out)`` then ``out *=
+        sigma``.  numpy's ``normal(0, s)`` is ``0.0 + s * z`` on the same
+        stream, so both forms consume the generator identically and
+        agree value for value (the ``0.0 +`` only turns ``-0.0`` into
+        ``+0.0``, which no comparison can see).  A zero sigma draws
+        nothing either way.
+        """
+        if out is None:
+            if self.offset_sigma == 0:
+                return np.zeros(shape)
+            return rng.normal(0.0, self.offset_sigma, size=shape)
+        shape = np.broadcast_shapes(shape)
+        if out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
         if self.offset_sigma == 0:
-            return np.zeros(shape)
-        return rng.normal(0.0, self.offset_sigma, size=shape)
+            out.fill(0.0)
+            return out
+        rng.standard_normal(out=out)
+        out *= self.offset_sigma
+        return out
 
 
 class PrechargeSenseAmplifier:

@@ -183,6 +183,19 @@ class TestCommands:
         with pytest.raises(SystemExit, match="full_binary"):
             main(["deploy", str(artifact)])
 
+    def test_ideal_rram_backend_accepted(self, capsys):
+        """``ideal-rram`` runs under ``--backend all`` and ``serve``, so
+        ``compile`` and ``deploy`` accept it by name too."""
+        assert main(["compile", "eeg", "--backend", "ideal-rram"]) == 0
+        text = capsys.readouterr().out
+        assert "backend 'rram'" in text and "100.0%" in text
+        assert main(["deploy", str(PLANS / "eeg_full_binary.npz"),
+                     "--backend", "ideal-rram"]) == 0
+        text = capsys.readouterr().out
+        assert "rram" in text and "100.0%" in text
+        with pytest.raises(SystemExit, match="ideal-rram"):
+            main(["compile", "eeg", "--backend", "banana"])
+
     def test_deploy_missing_artifact_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="compile --save"):
             main(["deploy", str(tmp_path / "nope.npz")])
@@ -313,6 +326,18 @@ class TestDeployReliabilityFlags:
         with pytest.raises(SystemExit, match=r"--temp \(used by"):
             main(["deploy", str(PLANS / "eeg_full_binary.npz"),
                   "--backend", "reference", "--temp", "85"])
+
+    def test_temp_without_years_exits(self):
+        """``--temp`` only sets the storage temperature of ``--years``:
+        on an aging backend without ``--years`` it would be silently
+        ignored, so it exits non-zero and names both flags."""
+        for backend in ("rram", "ideal-rram", "sharded", "all"):
+            with pytest.raises(SystemExit) as info:
+                main(["deploy", str(PLANS / "eeg_full_binary.npz"),
+                      "--backend", backend, "--temp", "85"])
+            assert isinstance(info.value.code, str)   # exit status 1
+            assert "--temp" in info.value.code
+            assert "--years" in info.value.code
 
     def test_bundle_deploy_reports_ecc_and_repeat_footer(self, capsys):
         """Bundle deploy runs the same per-model loop as a single plan:
