@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.experiments import render_table
 from repro.nn import BatchNorm2d, BinaryConv2d
-from repro.rram import (AcceleratorConfig, InMemoryConv2dLayer,
-                        fold_conv2d_batchnorm_sign)
+from repro.rram import AcceleratorConfig, fold_conv2d_batchnorm_sign
+from repro.runtime import RRAMBackend
 
 from _util import report
 
@@ -46,10 +46,10 @@ def _build(rng):
 def _run():
     rng = np.random.default_rng(0)
     folded = _build(rng)
-    ideal = InMemoryConv2dLayer(folded, AcceleratorConfig(ideal=True),
-                                np.random.default_rng(1))
-    fresh = InMemoryConv2dLayer(folded, AcceleratorConfig(),
-                                np.random.default_rng(2))
+    ideal = RRAMBackend(AcceleratorConfig(ideal=True),
+                        np.random.default_rng(1)).prepare_conv2d(folded)
+    fresh = RRAMBackend(AcceleratorConfig(),
+                        np.random.default_rng(2)).prepare_conv2d(folded)
 
     rows = []
     exact, agreements = [], []

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.experiments import render_series, render_table
 from repro.rram import (DeviceParameters, RetentionModel, YieldAnalysis,
-                        retention_ber_1t1r, retention_ber_2t2r)
+                        analytic_ber_1t1r, analytic_ber_2t2r)
 
 from _util import report
 
@@ -26,8 +26,10 @@ HOURS = np.array([1.0, 1e2, 1e3, 1e4, 1e5])      # up to ~11 years
 def _run():
     params = DeviceParameters()
     retention = RetentionModel()
-    curve_1t = retention_ber_1t1r(params, retention, HOURS)
-    curve_2t = retention_ber_2t2r(params, retention, HOURS)
+    curve_1t = analytic_ber_1t1r(params, 1e8, retention=retention,
+                                 hours=HOURS)
+    curve_2t = analytic_ber_2t2r(params, 1e8, retention=retention,
+                                 hours=HOURS)
     yields = {}
     for mode in ("2T2R", "1T1R"):
         yields[mode] = YieldAnalysis(params, die_sigma=0.15, n_chips=500,

@@ -27,8 +27,7 @@ from repro import nn
 from repro.data import ImageConfig, make_image_dataset
 from repro.experiments import TrainConfig, evaluate_accuracy, train_model
 from repro.nn.binary import to_bits
-from repro.rram import (AcceleratorConfig, InMemoryConv2dLayer,
-                        fold_conv2d_batchnorm_sign,
+from repro.rram import (AcceleratorConfig, fold_conv2d_batchnorm_sign,
                         fold_depthwise2d_batchnorm_sign)
 from repro.runtime import RRAMBackend, fold_classifier_stack, plan_from_folded
 from repro.tensor import Tensor, no_grad
@@ -108,12 +107,10 @@ def main() -> None:
     hidden, output = fold_classifier_stack(model)
 
     print("4) Programming 2T2R arrays and running the stack on-chip ...")
-    config = AcceleratorConfig()
-    hw_rng = np.random.default_rng(4)
-    chip_dw = InMemoryConv2dLayer(folded_dw, config, hw_rng)
-    chip_pw = InMemoryConv2dLayer(folded_pw, config, hw_rng)
-    chip_classifier = plan_from_folded(
-        hidden, output, backend=RRAMBackend(config, hw_rng))
+    backend = RRAMBackend(AcceleratorConfig(), np.random.default_rng(4))
+    chip_dw = backend.prepare_conv2d(folded_dw)
+    chip_pw = backend.prepare_conv2d(folded_pw)
+    chip_classifier = plan_from_folded(hidden, output, backend=backend)
 
     with no_grad():
         front = model.front_bits(Tensor(test_x)).data

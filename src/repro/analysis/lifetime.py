@@ -10,9 +10,9 @@ without the 2T2R differential read.
 :func:`accuracy_vs_cycles` performs the composition; :func:`usable_cycles`
 inverts it against an accuracy budget.  Both accept any monotone
 ``ber_of_cycles`` callable, so the same analysis runs on endurance
-(:func:`repro.rram.analytic_ber_1t1r` / ``_2t2r``) or retention
-(:func:`repro.rram.retention_ber_1t1r` / ``_2t2r`` via a lambda over
-storage time).
+(:func:`repro.rram.analytic_ber_1t1r` / ``_2t2r``) or retention (the
+same functions with a ``retention`` model, via a lambda over storage
+time).
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ from repro.experiments import render_table
 from repro.models import (BinarizationMode, ECGNet, EEGNet, MobileNetConfig,
                           MobileNetV1)
 from repro.rram import (DeviceParameters, EnergyModel, PeripheryModel,
-                        RetentionModel, analytic_ber_1t1r, analytic_ber_2t2r,
-                        retention_ber_1t1r, retention_ber_2t2r)
+                        RetentionModel, analytic_ber_1t1r, analytic_ber_2t2r)
 from repro.rram.analog import AnalogConfig, AnalogCrossbar
 from repro.viz import line_plot
 
@@ -138,8 +137,8 @@ def run_retention() -> str:
     model = RetentionModel()
     years = np.geomspace(0.01, 10.0, 10)
     hours = years * 365.25 * 24
-    ber1 = retention_ber_1t1r(params, model, hours)
-    ber2 = retention_ber_2t2r(params, model, hours)
+    ber1 = analytic_ber_1t1r(params, 1e8, retention=model, hours=hours)
+    ber2 = analytic_ber_2t2r(params, 1e8, retention=model, hours=hours)
     floor = np.finfo(float).tiny
     plot = line_plot(
         {"1T1R": (years, np.maximum(ber1, floor)),

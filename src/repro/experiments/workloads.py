@@ -44,6 +44,21 @@ def _cell_geometry(n_cells: int) -> tuple[int, int]:
     return 1, n_cells
 
 
+def _random_folded_dense(rng: np.random.Generator, in_features: int,
+                         out_features: int):
+    """A random binary dense layer with a random batch-norm, folded per
+    Eq. 3 — the layer the RRAM robustness workloads program."""
+    from repro import nn
+    from repro.nn.binary import fold_batchnorm_sign
+
+    layer = nn.BinaryLinear(in_features, out_features, rng=rng)
+    bn = nn.BatchNorm1d(out_features)
+    bn.set_buffer("running_mean", rng.standard_normal(out_features))
+    bn.set_buffer("running_var", rng.uniform(0.5, 2.0, out_features))
+    bn.eval()
+    return fold_batchnorm_sign(layer, bn)
+
+
 def ber_point(cycles: float, mode: str = "2T2R", n_cells: int = 4096,
               seed: int = 0, trials: int = 1,
               trial_chunk: int | None = None) -> dict[str, float]:
@@ -101,26 +116,15 @@ def rram_inference_point(sigma: float, seed: int = 0, n_inputs: int = 32,
     from repro.rram import SenseParameters, trial_streams
 
     def _build():
-        from repro import nn
-        from repro.nn.binary import fold_batchnorm_sign
-        from repro.rram import (AcceleratorConfig, DeviceParameters,
-                                InMemoryDenseLayer)
+        from repro.rram import AcceleratorConfig
+        from repro.runtime.backends import RRAMBackend
 
         rng = np.random.default_rng(seed)
-        layer = nn.BinaryLinear(in_features, out_features, rng=rng)
-        bn = nn.BatchNorm1d(out_features)
-        bn.set_buffer("running_mean", rng.standard_normal(out_features))
-        bn.set_buffer("running_var", rng.uniform(0.5, 2.0, out_features))
-        bn.eval()
-        folded = fold_batchnorm_sign(layer, bn)
-        device = DeviceParameters(sigma_lrs0=0.0, sigma_hrs0=0.0,
-                                  broadening=0.0, hrs_drift=0.0,
-                                  device_mismatch=1.0)
-        config = AcceleratorConfig(
-            device=device, sense=SenseParameters(offset_sigma=0.0))
+        folded = _random_folded_dense(rng, in_features, out_features)
         # fast_path=False keeps the physical margins resident: the cached
         # plan must stay readable at every sense sigma of the sweep.
-        hw = InMemoryDenseLayer(folded, config, rng, fast_path=False)
+        hw = RRAMBackend(AcceleratorConfig(ideal=True), rng,
+                         fast_path=False).prepare_dense(folded)
         x = rng.integers(0, 2, (n_inputs, in_features)).astype(np.uint8)
         return hw, x, folded.forward_bits(x)
 
@@ -159,30 +163,17 @@ def sharded_robustness_point(macro_cols: int, macro_rows: int = 8,
     from repro.rram import SenseParameters, trial_streams
 
     def _build():
-        from repro import nn
-        from repro.nn.binary import fold_batchnorm_sign
-        from repro.rram import (AcceleratorConfig, DeviceParameters,
-                                InMemoryDenseLayer, MacroGeometry,
-                                ShardedController)
+        from repro.rram import AcceleratorConfig, MacroGeometry
+        from repro.runtime.backends import ShardedRRAMBackend
 
         rng = np.random.default_rng(seed)
-        layer = nn.BinaryLinear(in_features, out_features, rng=rng)
-        bn = nn.BatchNorm1d(out_features)
-        bn.set_buffer("running_mean", rng.standard_normal(out_features))
-        bn.set_buffer("running_var", rng.uniform(0.5, 2.0, out_features))
-        bn.eval()
-        folded = fold_batchnorm_sign(layer, bn)
-        device = DeviceParameters(sigma_lrs0=0.0, sigma_hrs0=0.0,
-                                  broadening=0.0, hrs_drift=0.0,
-                                  device_mismatch=1.0)
-        config = AcceleratorConfig(
-            device=device, sense=SenseParameters(offset_sigma=0.0))
+        folded = _random_folded_dense(rng, in_features, out_features)
         # fast_path=False keeps every shard's physical margins resident so
         # the cached grid can be read at any sense sigma of the sweep.
-        controller = ShardedController(
-            folded.weight_bits, config=config, rng=rng, fast_path=False,
-            macro=MacroGeometry(int(macro_rows), int(macro_cols)))
-        hw = InMemoryDenseLayer(folded, controller=controller)
+        hw = ShardedRRAMBackend(
+            AcceleratorConfig(ideal=True),
+            MacroGeometry(int(macro_rows), int(macro_cols)), rng,
+            fast_path=False).prepare_dense(folded)
         x = rng.integers(0, 2, (n_inputs, in_features)).astype(np.uint8)
         return hw, x, folded.forward_bits(x)
 
@@ -229,8 +220,7 @@ def trained_robustness_point(sigma: float, weights: str = "clean",
     def _build():
         from repro.experiments.training import (seeded_baseline,
                                                 train_demo_model)
-        from repro.rram import (AcceleratorConfig, DeviceParameters,
-                                classifier_input_bits)
+        from repro.rram import AcceleratorConfig, classifier_input_bits
         from repro.runtime import (RRAMBackend, fold_classifier_stack,
                                    plan_from_folded)
 
@@ -246,18 +236,14 @@ def trained_robustness_point(sigma: float, weights: str = "clean",
         else:
             raise ValueError(f"weights must be seeded/clean/noise, "
                              f"got {weights!r}")
-        device = DeviceParameters(sigma_lrs0=0.0, sigma_hrs0=0.0,
-                                  broadening=0.0, hrs_drift=0.0,
-                                  device_mismatch=1.0)
-        config = AcceleratorConfig(
-            device=device, sense=SenseParameters(offset_sigma=0.0))
         # Only the classifier goes on the chip (features stay digital, as
         # in a lower_features=False compile).  fast_path=False keeps the
         # physical margins resident: the cached programmed classifier
         # must stay readable at every sweep sigma.
         plan = plan_from_folded(
             *fold_classifier_stack(demo.model),
-            backend=RRAMBackend(config, np.random.default_rng(seed),
+            backend=RRAMBackend(AcceleratorConfig(ideal=True),
+                                np.random.default_rng(seed),
                                 fast_path=False))
         bits = classifier_input_bits(demo.model, demo.val_inputs)
         return plan, bits, np.asarray(demo.val_labels), demo.val_accuracy
@@ -299,31 +285,15 @@ def lifetime_point(years: float, temp_c: float = 125.0, ecc: str = "none",
     from repro.rram import trial_streams
 
     def _build():
-        from repro import nn
-        from repro.nn.binary import fold_batchnorm_sign
-        from repro.rram import (AcceleratorConfig, EccMemoryController,
-                                InMemoryDenseLayer, LifetimeConfig,
-                                MemoryController)
-        from repro.runtime.backends import resolve_ecc
+        from repro.rram import AcceleratorConfig, LifetimeConfig
+        from repro.runtime.backends import RRAMBackend
 
         rng = np.random.default_rng(seed)
-        layer = nn.BinaryLinear(in_features, out_features, rng=rng)
-        bn = nn.BatchNorm1d(out_features)
-        bn.set_buffer("running_mean", rng.standard_normal(out_features))
-        bn.set_buffer("running_var", rng.uniform(0.5, 2.0, out_features))
-        bn.eval()
-        folded = fold_batchnorm_sign(layer, bn)
-        config = AcceleratorConfig()      # realistic device + sense
+        folded = _random_folded_dense(rng, in_features, out_features)
         lifetime = LifetimeConfig.years(float(years), float(temp_c))
-        code = resolve_ecc(ecc)
-        if code is not None:
-            controller = EccMemoryController(
-                folded.weight_bits, config, rng, code=code,
-                lifetime=lifetime)
-        else:
-            controller = MemoryController(
-                folded.weight_bits, config, rng, lifetime=lifetime)
-        hw = InMemoryDenseLayer(folded, controller=controller)
+        # Realistic device + sense statistics: aging needs variability.
+        hw = RRAMBackend(AcceleratorConfig(), rng, ecc=ecc,
+                         lifetime=lifetime).prepare_dense(folded)
         x = rng.integers(0, 2, (n_inputs, in_features)).astype(np.uint8)
         return hw, x, folded.forward_bits(x), lifetime
 

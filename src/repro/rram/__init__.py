@@ -43,7 +43,6 @@ from repro.rram.programming import (ProgramVerifyConfig, VerifyStatistics,
                                     program_row_verified,
                                     program_array_verified)
 from repro.rram.reliability import (LifetimeConfig, RetentionModel,
-                                    retention_ber_1t1r, retention_ber_2t2r,
                                     arrhenius_acceleration, equivalent_hours,
                                     YieldAnalysis, YieldResult)
 from repro.rram.analog import (AnalogConfig, AnalogCrossbar, AnalogLinear,
@@ -76,7 +75,6 @@ __all__ = [
     "ProgramVerifyConfig", "VerifyStatistics", "program_row_verified",
     "program_array_verified",
     "LifetimeConfig", "RetentionModel",
-    "retention_ber_1t1r", "retention_ber_2t2r",
     "arrhenius_acceleration", "equivalent_hours",
     "YieldAnalysis", "YieldResult",
     "AnalogConfig", "AnalogCrossbar", "AnalogLinear", "PeripheryModel",

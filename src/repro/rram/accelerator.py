@@ -868,26 +868,21 @@ class InMemoryDenseLayer:
     """A hidden binary dense layer executed on RRAM tiles.
 
     Thresholding implements ``sign(BN(.))`` folded per Eq. 3; output is the
-    next layer's activation bits.
+    next layer's activation bits.  ``controller`` holds the programmed
+    weights (a :class:`MemoryController`, :class:`ShardedController` or
+    ECC controller); the ``rram`` and ``sharded`` backends build it.
     """
 
-    def __init__(self, folded: FoldedBinaryDense,
-                 config: AcceleratorConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
-                 controller=None):
+    def __init__(self, folded: FoldedBinaryDense, controller):
         self.folded = folded
-        self.controller = controller if controller is not None else \
-            MemoryController(folded.weight_bits, config, rng, fast_path)
+        self.controller = controller
 
-    def forward_bits(self, x_bits: np.ndarray,
-                     rng: np.random.Generator | None = None,
-                     sense: SenseParameters | None = None) -> np.ndarray:
-        """One read: ``(N, in)`` bits in, ``(N, out)`` bits out — a
-        one-trial :meth:`forward_bits_trials` call."""
+    def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
+        """One read from the controller's own stream: ``(N, in)`` bits
+        in, ``(N, out)`` bits out — a one-trial
+        :meth:`forward_bits_trials` call."""
         return self.forward_bits_trials(
-            _single_batch(x_bits, 2), [rng or self.controller.rng],
-            sense=sense)[0]
+            _single_batch(x_bits, 2), [self.controller.rng])[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
                             sense: SenseParameters | None = None,
@@ -906,23 +901,15 @@ class InMemoryOutputLayer:
     """The final binary dense layer: popcount in-memory, affine + argmax in
     the shared digital logic (no sign follows the last layer)."""
 
-    def __init__(self, folded: FoldedOutputDense,
-                 config: AcceleratorConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
-                 controller=None):
+    def __init__(self, folded: FoldedOutputDense, controller):
         self.folded = folded
-        self.controller = controller if controller is not None else \
-            MemoryController(folded.weight_bits, config, rng, fast_path)
+        self.controller = controller
 
-    def forward_scores(self, x_bits: np.ndarray,
-                       rng: np.random.Generator | None = None,
-                       sense: SenseParameters | None = None) -> np.ndarray:
-        """One read: ``(N, classes)`` scores — a one-trial
-        :meth:`forward_scores_trials` call."""
+    def forward_scores(self, x_bits: np.ndarray) -> np.ndarray:
+        """One read from the controller's own stream: ``(N, classes)``
+        scores — a one-trial :meth:`forward_scores_trials` call."""
         return self.forward_scores_trials(
-            _single_batch(x_bits, 2), [rng or self.controller.rng],
-            sense=sense)[0]
+            _single_batch(x_bits, 2), [self.controller.rng])[0]
 
     def forward_scores_trials(self, x_bits: np.ndarray, rngs,
                               sense: SenseParameters | None = None,

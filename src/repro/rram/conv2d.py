@@ -26,8 +26,7 @@ import numpy as np
 from repro.nn.binary import threshold_bits, to_bits, xnor_popcount
 from repro.nn.conv import Conv2d
 from repro.nn.norm import _BatchNorm
-from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
-                                  _single_batch)
+from repro.rram.accelerator import _single_batch
 from repro.tensor.im2col import conv_output_length
 
 __all__ = ["FoldedBinaryConv2d", "fold_conv2d_batchnorm_sign",
@@ -199,29 +198,22 @@ class InMemoryConv2dLayer:
     the software popcount path per channel (their single-row arrays make
     tiling trivial and device effects negligible at K_h*K_w fan-in).
 
-    An injected ``controller`` (e.g. a sharded
-    :class:`~repro.rram.accelerator.ShardedController`) replaces the
-    monolithic array; im2col patch batches flow through its
-    ``popcounts``/``popcounts_trials`` unchanged, so a stacked-shard fast
-    plan built at controller construction applies to conv scans too.
+    ``controller`` (built by the ``rram`` or ``sharded`` backend) holds
+    the flattened kernels; im2col patch batches flow through its
+    ``popcounts_trials`` unchanged, so a stacked-shard fast plan built at
+    controller construction applies to conv scans too.
     """
 
-    def __init__(self, folded: FoldedBinaryConv2d,
-                 config: AcceleratorConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
-                 controller=None):
+    def __init__(self, folded: FoldedBinaryConv2d, controller):
         self.folded = folded
-        self.controller = controller if controller is not None else \
-            MemoryController(folded.weight_bits, config, rng, fast_path)
+        self.controller = controller
 
-    def forward_bits(self, x_bits: np.ndarray,
-                     rng=None, sense=None) -> np.ndarray:
-        """One read: ``(N, C, H, W)`` bits in, ``(N, C_out, H_out,
-        W_out)`` out — a one-trial :meth:`forward_bits_trials` call."""
+    def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
+        """One read from the controller's own stream: ``(N, C, H, W)``
+        bits in, ``(N, C_out, H_out, W_out)`` out — a one-trial
+        :meth:`forward_bits_trials` call."""
         return self.forward_bits_trials(
-            _single_batch(x_bits, 4), [rng or self.controller.rng],
-            sense=sense)[0]
+            _single_batch(x_bits, 4), [self.controller.rng])[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
                             sense=None, trial_chunk=None) -> np.ndarray:

@@ -151,9 +151,23 @@ class RRAMDevice:
         return self.resistance
 
 
+def _retention_terms(retention, hours):
+    """HRS mean loss, LRS mean gain and drift spread after ``hours`` of
+    storage under a :class:`~repro.rram.reliability.RetentionModel`;
+    exact zeros without one, so the endurance-only BER is unchanged."""
+    if retention is None:
+        if np.any(np.asarray(hours) != 0):
+            raise ValueError("hours of storage need a retention model")
+        return 0.0, 0.0, 0.0
+    return (retention.hrs_shift(hours), retention.lrs_shift(hours),
+            retention.extra_sigma(hours))
+
+
 def analytic_ber_1t1r(params: DeviceParameters, cycles: float | np.ndarray,
                       mismatch: float = 1.0,
-                      sense_offset_sigma: float = 0.15) -> np.ndarray:
+                      sense_offset_sigma: float = 0.15,
+                      retention=None,
+                      hours: float | np.ndarray = 0.0) -> np.ndarray:
     """Closed-form single-device bit error rate.
 
     A 1T1R read compares the device resistance to the fixed reference; an
@@ -161,20 +175,28 @@ def analytic_ber_1t1r(params: DeviceParameters, cycles: float | np.ndarray,
     and LRS sides are averaged (states are equiprobable when storing
     weights).  The decision noise combines device variability, sense
     amplifier offset, and reference imprecision in quadrature.
+
+    With a ``retention`` model the BER is the one after ``hours`` of
+    storage: the HRS mean moves toward the reference while the spread
+    grows, so the Gaussian tail past the reference swells with log-time.
     """
+    hrs_shift, lrs_shift, drift_sigma = _retention_terms(retention, hours)
     ln_ref = math.log(params.reference_resistance)
-    extra = sense_offset_sigma ** 2 + params.reference_spread ** 2
+    extra = (sense_offset_sigma ** 2 + params.reference_spread ** 2
+             + drift_sigma ** 2)
     s_hrs = np.sqrt((mismatch * params.sigma_hrs(cycles)) ** 2 + extra)
     s_lrs = np.sqrt((mismatch * params.sigma_lrs(cycles)) ** 2 + extra)
-    z_hrs = (params.mu_hrs(cycles) - ln_ref) / s_hrs
-    z_lrs = (ln_ref - params.mu_lrs(cycles)) / s_lrs
+    z_hrs = (params.mu_hrs(cycles) - hrs_shift - ln_ref) / s_hrs
+    z_lrs = (ln_ref - (params.mu_lrs(cycles) + lrs_shift)) / s_lrs
     # Imported here so that loading a plan never imports scipy.
     from scipy.stats import norm
     return 0.5 * (norm.sf(z_hrs) + norm.sf(z_lrs))
 
 
 def analytic_ber_2t2r(params: DeviceParameters, cycles: float | np.ndarray,
-                      sense_offset_sigma: float = 0.15) -> np.ndarray:
+                      sense_offset_sigma: float = 0.15,
+                      retention=None,
+                      hours: float | np.ndarray = 0.0) -> np.ndarray:
     """Closed-form differential-pair bit error rate.
 
     A 2T2R read errs only when the HRS device of the pair appears *less*
@@ -182,11 +204,20 @@ def analytic_ber_2t2r(params: DeviceParameters, cycles: float | np.ndarray,
     expressed in ln-resistance units).  The decision margin is the full
     LRS-to-HRS window instead of half of it, which is what buys the ~two
     orders of magnitude of Fig. 4.
+
+    With a ``retention`` model the BER is the one after ``hours`` of
+    storage: state-dependent drift closes the window from both sides and
+    the random component adds for both devices, but the differential
+    margin is twice the single-ended one, so the absolute BER remains far
+    lower than 1T1R at any storage time.
     """
-    mu_gap = params.mu_hrs(cycles) - params.mu_lrs(cycles)
+    hrs_shift, lrs_shift, drift_sigma = _retention_terms(retention, hours)
+    mu_gap = (params.mu_hrs(cycles) - hrs_shift) \
+        - (params.mu_lrs(cycles) + lrs_shift)
     sigma = np.sqrt(
         params.sigma_hrs(cycles) ** 2
         + (params.device_mismatch * params.sigma_lrs(cycles)) ** 2
+        + 2 * drift_sigma ** 2
         + sense_offset_sigma ** 2)
     from scipy.stats import norm
     return norm.sf(mu_gap / sigma)

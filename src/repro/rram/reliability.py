@@ -25,10 +25,8 @@ import numpy as np
 
 from repro.rram.device import DeviceParameters
 
-__all__ = ["RetentionModel", "LifetimeConfig",
-           "retention_ber_1t1r", "retention_ber_2t2r",
-           "arrhenius_acceleration", "equivalent_hours",
-           "YieldAnalysis", "YieldResult"]
+__all__ = ["RetentionModel", "LifetimeConfig", "arrhenius_acceleration",
+           "equivalent_hours", "YieldAnalysis", "YieldResult"]
 
 # Boltzmann constant in eV/K, for the Arrhenius law.
 _K_BOLTZMANN_EV = 8.617333262e-5
@@ -64,10 +62,12 @@ def equivalent_hours(hours_at_temp: float | np.ndarray, temp_c: float,
                      activation_energy_ev: float = 1.1) -> np.ndarray:
     """Convert storage time at ``temp_c`` to bake-equivalent hours.
 
-    Feed the result to :func:`retention_ber_1t1r` / ``_2t2r`` (whose
-    :class:`RetentionModel` constants are bake-calibrated) to predict BER
-    after field storage at body or room temperature — e.g. ten years at
-    37 °C maps to only a fraction of an hour of 125 °C bake.
+    Feed the result as ``hours`` to
+    :func:`~repro.rram.device.analytic_ber_1t1r` / ``_2t2r`` together
+    with a :class:`RetentionModel` (whose constants are bake-calibrated)
+    to predict BER after field storage at body or room temperature —
+    e.g. ten years at 37 °C maps to only a fraction of an hour of 125 °C
+    bake.
     """
     factor = arrhenius_acceleration(temp_c, reference_temp_c,
                                     activation_energy_ev)
@@ -155,49 +155,6 @@ class LifetimeConfig:
         return float(equivalent_hours(self.hours, self.temp_c,
                                       self.reference_temp_c,
                                       self.activation_energy_ev))
-
-
-def retention_ber_1t1r(params: DeviceParameters, retention: RetentionModel,
-                       hours: float | np.ndarray, cycles: float = 1e8,
-                       sense_offset_sigma: float = 0.15) -> np.ndarray:
-    """Closed-form single-ended BER after ``hours`` of storage.
-
-    The HRS mean moves toward the reference while its spread grows, so the
-    Gaussian tail past the reference swells with log-time.
-    """
-    ln_ref = np.log(params.reference_resistance)
-    extra = (sense_offset_sigma ** 2 + params.reference_spread ** 2
-             + retention.extra_sigma(hours) ** 2)
-    s_hrs = np.sqrt(params.sigma_hrs(cycles) ** 2 + extra)
-    s_lrs = np.sqrt(params.sigma_lrs(cycles) ** 2 + extra)
-    mu_hrs = params.mu_hrs(cycles) - retention.hrs_shift(hours)
-    mu_lrs = params.mu_lrs(cycles) + retention.lrs_shift(hours)
-    z_hrs = (mu_hrs - ln_ref) / s_hrs
-    z_lrs = (ln_ref - mu_lrs) / s_lrs
-    # Imported here so that loading a plan never imports scipy.
-    from scipy.stats import norm
-    return 0.5 * (norm.sf(z_hrs) + norm.sf(z_lrs))
-
-
-def retention_ber_2t2r(params: DeviceParameters, retention: RetentionModel,
-                       hours: float | np.ndarray, cycles: float = 1e8,
-                       sense_offset_sigma: float = 0.15) -> np.ndarray:
-    """Closed-form differential BER after ``hours`` of storage.
-
-    State-dependent drift closes the LRS-to-HRS window from both sides and
-    the random component adds for both devices, but the differential margin
-    is twice the single-ended one, so the absolute BER remains far lower
-    than 1T1R at any storage time.
-    """
-    mu_gap = (params.mu_hrs(cycles) - retention.hrs_shift(hours)) \
-        - (params.mu_lrs(cycles) + retention.lrs_shift(hours))
-    sigma = np.sqrt(
-        params.sigma_hrs(cycles) ** 2
-        + (params.device_mismatch * params.sigma_lrs(cycles)) ** 2
-        + 2 * retention.extra_sigma(hours) ** 2
-        + sense_offset_sigma ** 2)
-    from scipy.stats import norm
-    return norm.sf(mu_gap / sigma)
 
 
 @dataclass

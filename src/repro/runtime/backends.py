@@ -4,7 +4,9 @@ A backend turns substrate-independent folded layers (the output of the
 batch-norm folding of Eq. 3) into executors with ``forward_bits`` /
 ``forward_scores`` methods.  All expensive preparation — packing weight
 bits into uint64 words, programming 2T2R tiles — happens in the
-``prepare_*`` calls at compile time, never per batch.
+``prepare_*`` calls at compile time, never per batch.  The ``rram`` and
+``sharded`` backends are the one place an in-memory layer's controller
+is built: every ``InMemory*Layer`` wraps ``(folded, controller)``.
 
 The registry (:func:`register_backend` / :func:`resolve_backend`) is the
 extension point: a sharded multi-macro backend or an async sweep executor
@@ -139,14 +141,44 @@ class PackedBackend(Backend):
         return PackedBinaryConv2d(folded)
 
 
-class RRAMBackend(Backend):
+class _InMemoryBackend(Backend):
+    """The ``prepare_*`` hooks shared by the RRAM backends.
+
+    Each hook wraps the folded layer around the controller that
+    :meth:`_controller` programs with its weight bits; the backends
+    differ only in how that controller is built.  ``kind`` names the
+    layer class for placement labels (``fc``, ``out``, ``conv``).
+    """
+
+    def _controller(self, kind: str, weight_bits: np.ndarray):
+        raise NotImplementedError
+
+    def prepare_dense(self, folded: FoldedBinaryDense):
+        return InMemoryDenseLayer(
+            folded, self._controller("fc", folded.weight_bits))
+
+    def prepare_output(self, folded: FoldedOutputDense):
+        return InMemoryOutputLayer(
+            folded, self._controller("out", folded.weight_bits))
+
+    def prepare_conv1d(self, folded: FoldedBinaryConv1d):
+        return InMemoryConv1dLayer(
+            folded, self._controller("conv", folded.weight_bits))
+
+    def prepare_conv2d(self, folded: FoldedBinaryConv2d):
+        return InMemoryConv2dLayer(
+            folded, self._controller("conv", folded.weight_bits))
+
+
+class RRAMBackend(_InMemoryBackend):
     """The Fig. 5 in-memory architecture on simulated 2T2R macros.
 
     Preparation programs the weight bits into
     :class:`~repro.rram.accelerator.MemoryController` tile grids; layers
     then execute with vectorized word-line scanning and batched activation
     broadcast.  One shared ``rng`` keeps deployment deterministic per
-    config seed.
+    config seed.  With ``ecc`` set, each layer is stored behind that
+    Hamming code (:class:`~repro.rram.ecc.EccMemoryController`).
 
     ``fast_path`` dispatches deterministic (noise-free) configurations to
     the packed uint64 XNOR-popcount kernels at program time: ``"auto"``
@@ -183,44 +215,21 @@ class RRAMBackend(Backend):
     def begin_plan(self) -> None:
         self._layer_index = 0
 
-    def _controller(self, folded):
-        """Build the layer's controller when the reliability layer is in
-        play; ``None`` keeps the layers' own legacy construction (byte-
-        identical plans with no ECC, no lifetime, no faults)."""
-        if self.ecc is None and self.lifetime is None \
-                and self.fault_map is None:
-            return None
+    def _controller(self, kind: str, weight_bits: np.ndarray):
+        """Program one layer's weights.  Layer ``i`` of a plan keys its
+        fault sites by ``(i,)``; without a fault map the key is unused,
+        so every layer draws from the shared ``rng`` in plan order."""
         key = (self._layer_index,)
         self._layer_index += 1
         if self.ecc is not None:
             return EccMemoryController(
-                folded.weight_bits, self.config, self.rng, code=self.ecc,
+                weight_bits, self.config, self.rng, code=self.ecc,
                 fast_path=self.fast_path, lifetime=self.lifetime,
                 fault_map=self.fault_map, fault_key=key)
         return MemoryController(
-            folded.weight_bits, self.config, self.rng, self.fast_path,
+            weight_bits, self.config, self.rng, self.fast_path,
             lifetime=self.lifetime, fault_map=self.fault_map,
             fault_key=key)
-
-    def prepare_dense(self, folded: FoldedBinaryDense):
-        return InMemoryDenseLayer(folded, self.config, self.rng,
-                                  self.fast_path,
-                                  controller=self._controller(folded))
-
-    def prepare_output(self, folded: FoldedOutputDense):
-        return InMemoryOutputLayer(folded, self.config, self.rng,
-                                   self.fast_path,
-                                   controller=self._controller(folded))
-
-    def prepare_conv1d(self, folded: FoldedBinaryConv1d):
-        return InMemoryConv1dLayer(folded, self.config, self.rng,
-                                   self.fast_path,
-                                   controller=self._controller(folded))
-
-    def prepare_conv2d(self, folded: FoldedBinaryConv2d):
-        return InMemoryConv2dLayer(folded, self.config, self.rng,
-                                   self.fast_path,
-                                   controller=self._controller(folded))
 
     def __repr__(self) -> str:
         extras = ""
@@ -234,7 +243,7 @@ class RRAMBackend(Backend):
                 f"fast_path={self.fast_path!r}{extras})")
 
 
-class ShardedRRAMBackend(Backend):
+class ShardedRRAMBackend(_InMemoryBackend):
     """Multi-macro execution: every folded layer split across simulated
     RRAM *chips* by its floorplan placement.
 
@@ -317,22 +326,6 @@ class ShardedRRAMBackend(Backend):
                                        spares=self.spares)
         self.placements.append(placement)
         return controller
-
-    def prepare_dense(self, folded: FoldedBinaryDense):
-        return InMemoryDenseLayer(
-            folded, controller=self._controller("fc", folded.weight_bits))
-
-    def prepare_output(self, folded: FoldedOutputDense):
-        return InMemoryOutputLayer(
-            folded, controller=self._controller("out", folded.weight_bits))
-
-    def prepare_conv1d(self, folded: FoldedBinaryConv1d):
-        return InMemoryConv1dLayer(
-            folded, controller=self._controller("conv", folded.weight_bits))
-
-    def prepare_conv2d(self, folded: FoldedBinaryConv2d):
-        return InMemoryConv2dLayer(
-            folded, controller=self._controller("conv", folded.weight_bits))
 
     def floorplan(self) -> ChipFloorplan:
         """The aggregate chip plan of the most recent compile (placements

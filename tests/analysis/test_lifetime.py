@@ -104,11 +104,12 @@ class TestComposition:
 
     def test_composes_with_retention_time(self):
         """Same machinery answers 'how long can the chip store weights'."""
-        from repro.rram import RetentionModel, retention_ber_2t2r
+        from repro.rram import RetentionModel, analytic_ber_2t2r
 
         retention = RetentionModel()
         hours = usable_cycles(
             0.84,
-            lambda h: retention_ber_2t2r(self.params, retention, h),
+            lambda h: analytic_ber_2t2r(self.params, 1e8,
+                                        retention=retention, hours=h),
             self.acc_of_ber, cycle_range=(1.0, 1e7))
         assert hours > 1.0  # survives more than an hour of storage

@@ -8,7 +8,7 @@ the composition; finite differences referee.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import Tensor
@@ -38,21 +38,47 @@ def op_chain(draw):
     return names, reducer
 
 
+def _chain_fn(names, reducer, unary=UNARY):
+    def fn(t):
+        out = t
+        for name in names:
+            out = unary[name](out)
+        return REDUCE[reducer](out)
+    return fn
+
+
+#: A chain whose output reaches ~1e7: the central difference's own
+#: cancellation error (up to 0.33 absolute at seed 0) once exceeded
+#: ``atol`` on elements whose true gradient is near zero.
+LARGE_OUTPUT_CHAIN = ["scale", "square", "square", "exp"]
+
+
+def _wrong_square(t):
+    """``t ** 2`` with a broken backward (``grad * x`` for ``2 grad x``)."""
+    return Tensor._make(t.data ** 2, (t,), lambda grad: (grad * t.data,))
+
+
 class TestUnaryChains:
     @settings(max_examples=40, deadline=None)
     @given(op_chain(), st.integers(0, 10_000))
+    @example((LARGE_OUTPUT_CHAIN, "mean"), 0)
     def test_chain_gradient_matches_numeric(self, chain, seed):
         names, reducer = chain
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-1.5, 1.5, size=(3, 4)), requires_grad=True)
+        check_gradients(_chain_fn(names, reducer), [x], rtol=1e-3,
+                        atol=1e-5)
 
-        def fn(t):
-            out = t
-            for name in names:
-                out = UNARY[name](out)
-            return REDUCE[reducer](out)
-
-        check_gradients(fn, [x], rtol=1e-3, atol=1e-5)
+    @pytest.mark.parametrize("seed", [0, 7, 12])
+    def test_rounding_allowance_still_catches_a_wrong_backward(self, seed):
+        """The numeric side's rounding allowance scales with ``|f|``; on
+        the large-output chain it must not hide a wrong derivative."""
+        x = Tensor(np.random.default_rng(seed).uniform(-1.5, 1.5, (3, 4)),
+                   requires_grad=True)
+        broken = dict(UNARY, square=_wrong_square)
+        with pytest.raises(AssertionError, match="gradient mismatch"):
+            check_gradients(_chain_fn(LARGE_OUTPUT_CHAIN, "mean", broken),
+                            [x], rtol=1e-3, atol=1e-5)
 
 
 class TestBroadcastCompositions:

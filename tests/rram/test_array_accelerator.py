@@ -7,8 +7,8 @@ from repro import nn
 from repro.nn.binary import (fold_batchnorm_output, fold_batchnorm_sign,
                              to_bits, xnor_popcount)
 from repro.rram import (AcceleratorConfig, DeviceParameters,
-                        InMemoryDenseLayer, InMemoryOutputLayer,
                         MemoryController, RRAMArray, SenseParameters)
+from repro.runtime import RRAMBackend
 
 IDEAL = AcceleratorConfig(ideal=True)
 
@@ -224,8 +224,8 @@ class TestInMemoryLayers:
         layer = nn.BinaryLinear(24, 7, rng=rng)
         bn = _trained_like_bn(rng, 7)
         folded = fold_batchnorm_sign(layer, bn)
-        hw = InMemoryDenseLayer(folded, AcceleratorConfig(
-            tile_rows=8, tile_cols=8, ideal=True), rng)
+        hw = RRAMBackend(AcceleratorConfig(
+            tile_rows=8, tile_cols=8, ideal=True), rng).prepare_dense(folded)
         x = rng.integers(0, 2, (9, 24)).astype(np.uint8)
         assert np.array_equal(hw.forward_bits(x), folded.forward_bits(x))
 
@@ -233,8 +233,8 @@ class TestInMemoryLayers:
         layer = nn.BinaryLinear(16, 3, rng=rng)
         bn = _trained_like_bn(rng, 3)
         folded = fold_batchnorm_output(layer, bn)
-        hw = InMemoryOutputLayer(folded, AcceleratorConfig(
-            tile_rows=8, tile_cols=8, ideal=True), rng)
+        hw = RRAMBackend(AcceleratorConfig(
+            tile_rows=8, tile_cols=8, ideal=True), rng).prepare_output(folded)
         x = rng.integers(0, 2, (5, 16)).astype(np.uint8)
         assert np.allclose(hw.forward_scores(x), folded.forward_scores(x))
 
@@ -242,7 +242,7 @@ class TestInMemoryLayers:
         layer = nn.BinaryLinear(64, 8, rng=rng)
         bn = _trained_like_bn(rng, 8)
         folded = fold_batchnorm_sign(layer, bn)
-        hw = InMemoryDenseLayer(folded, AcceleratorConfig(), rng)
+        hw = RRAMBackend(AcceleratorConfig(), rng).prepare_dense(folded)
         x = rng.integers(0, 2, (20, 64)).astype(np.uint8)
         agreement = (hw.forward_bits(x) == folded.forward_bits(x)).mean()
         assert agreement > 0.95
@@ -252,14 +252,14 @@ class TestInMemoryLayers:
         bn = _trained_like_bn(rng, 8)
         folded = fold_batchnorm_sign(layer, bn)
         params = DeviceParameters(sigma_lrs0=0.6, sigma_hrs0=0.6)
-        hw = InMemoryDenseLayer(folded, AcceleratorConfig(device=params),
-                                rng)
+        hw = RRAMBackend(AcceleratorConfig(device=params),
+                         rng).prepare_dense(folded)
         hw.controller.wear(int(1e10))
         hw.controller.reprogram()
         x = rng.integers(0, 2, (50, 64)).astype(np.uint8)
         worn = (hw.forward_bits(x) == folded.forward_bits(x)).mean()
 
-        hw_fresh = InMemoryDenseLayer(folded, AcceleratorConfig(
-            device=params), np.random.default_rng(0))
+        hw_fresh = RRAMBackend(AcceleratorConfig(device=params),
+                               np.random.default_rng(0)).prepare_dense(folded)
         fresh = (hw_fresh.forward_bits(x) == folded.forward_bits(x)).mean()
         assert worn <= fresh

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.rram import (DeviceParameters, RetentionModel,
-                        arrhenius_acceleration, equivalent_hours,
-                        retention_ber_2t2r)
+                        analytic_ber_2t2r, arrhenius_acceleration,
+                        equivalent_hours)
 
 
 class TestArrheniusAcceleration:
@@ -60,7 +60,9 @@ class TestEquivalentHours:
         params = DeviceParameters()
         model = RetentionModel()
         wall_clock_hours = 10 * 365.25 * 24
-        ber_bake = retention_ber_2t2r(params, model, wall_clock_hours)
-        ber_field = retention_ber_2t2r(
-            params, model, equivalent_hours(wall_clock_hours, 37.0))
+        ber_bake = analytic_ber_2t2r(params, 1e8, retention=model,
+                                     hours=wall_clock_hours)
+        ber_field = analytic_ber_2t2r(
+            params, 1e8, retention=model,
+            hours=equivalent_hours(wall_clock_hours, 37.0))
         assert ber_field < ber_bake

@@ -6,9 +6,9 @@ import pytest
 from repro.nn import (BatchNorm2d, BinaryConv2d, BinaryDepthwiseConv2d,
                       Conv2d)
 from repro.nn.binary import from_bits, to_bits
-from repro.rram import (AcceleratorConfig, FoldedBinaryConv2d,
-                        InMemoryConv2dLayer, fold_conv2d_batchnorm_sign,
+from repro.rram import (AcceleratorConfig, fold_conv2d_batchnorm_sign,
                         fold_depthwise2d_batchnorm_sign, max_pool_bits_2d)
+from repro.runtime import RRAMBackend
 from repro.tensor import Tensor
 
 
@@ -143,8 +143,8 @@ class TestInMemoryConv2dLayer:
         conv = BinaryConv2d(3, 6, kernel_size=3, rng=rng)
         bn = calibrated_bn2d(6, rng)
         folded = fold_conv2d_batchnorm_sign(conv, bn)
-        layer = InMemoryConv2dLayer(folded, AcceleratorConfig(ideal=True),
-                                    np.random.default_rng(3))
+        layer = RRAMBackend(AcceleratorConfig(ideal=True),
+                            np.random.default_rng(3)).prepare_conv2d(folded)
         bits = rng.integers(0, 2, size=(2, 3, 9, 9)).astype(np.uint8)
         assert np.array_equal(layer.forward_bits(bits),
                               folded.forward_bits(bits))
@@ -153,8 +153,8 @@ class TestInMemoryConv2dLayer:
         conv = BinaryConv2d(2, 4, kernel_size=3, rng=rng)
         bn = calibrated_bn2d(4, rng)
         folded = fold_conv2d_batchnorm_sign(conv, bn)
-        layer = InMemoryConv2dLayer(folded, AcceleratorConfig(),
-                                    np.random.default_rng(4))
+        layer = RRAMBackend(AcceleratorConfig(),
+                            np.random.default_rng(4)).prepare_conv2d(folded)
         bits = rng.integers(0, 2, size=(4, 2, 10, 10)).astype(np.uint8)
         agreement = np.mean(layer.forward_bits(bits)
                             == folded.forward_bits(bits))
@@ -164,7 +164,8 @@ class TestInMemoryConv2dLayer:
         conv = BinaryDepthwiseConv2d(4, kernel_size=3, rng=rng)
         bn = calibrated_bn2d(4, rng)
         folded = fold_depthwise2d_batchnorm_sign(conv, bn)
-        layer = InMemoryConv2dLayer(folded, AcceleratorConfig(ideal=True))
+        layer = RRAMBackend(
+            AcceleratorConfig(ideal=True)).prepare_conv2d(folded)
         bits = rng.integers(0, 2, size=(1, 4, 8, 8)).astype(np.uint8)
         assert np.array_equal(layer.forward_bits(bits),
                               folded.forward_bits(bits))

@@ -5,9 +5,9 @@ import pytest
 
 from repro import nn
 from repro.rram import (AcceleratorConfig, FoldedBinaryConv1d,
-                        InMemoryConv1dLayer, fold_conv1d_batchnorm_sign,
-                        max_pool_bits_1d)
+                        fold_conv1d_batchnorm_sign, max_pool_bits_1d)
 from repro.nn.binary import from_bits, to_bits
+from repro.runtime import RRAMBackend
 from repro.tensor import Tensor
 
 
@@ -66,8 +66,8 @@ class TestInMemoryConv1d:
         conv = nn.BinaryConv1d(3, 5, 4, rng=rng)
         bn = _trained_like_bn(rng, 5)
         folded = fold_conv1d_batchnorm_sign(conv, bn)
-        hw = InMemoryConv1dLayer(folded, AcceleratorConfig(
-            tile_rows=4, tile_cols=8, ideal=True), rng)
+        hw = RRAMBackend(AcceleratorConfig(
+            tile_rows=4, tile_cols=8, ideal=True), rng).prepare_conv1d(folded)
         bits = rng.integers(0, 2, (2, 3, 15)).astype(np.uint8)
         assert np.array_equal(hw.forward_bits(bits),
                               folded.forward_bits(bits))
@@ -76,7 +76,7 @@ class TestInMemoryConv1d:
         conv = nn.BinaryConv1d(4, 8, 5, rng=rng)
         bn = _trained_like_bn(rng, 8)
         folded = fold_conv1d_batchnorm_sign(conv, bn)
-        hw = InMemoryConv1dLayer(folded, AcceleratorConfig(), rng)
+        hw = RRAMBackend(AcceleratorConfig(), rng).prepare_conv1d(folded)
         bits = rng.integers(0, 2, (4, 4, 30)).astype(np.uint8)
         agreement = (hw.forward_bits(bits)
                      == folded.forward_bits(bits)).mean()
@@ -118,10 +118,9 @@ class TestFullBinaryNetworkOnHardware:
 
         # Hardware stack.
         cfg = AcceleratorConfig(tile_rows=8, tile_cols=16, ideal=True)
-        hw1 = InMemoryConv1dLayer(
-            fold_conv1d_batchnorm_sign(conv1, bn1), cfg, rng)
-        hw2 = InMemoryConv1dLayer(
-            fold_conv1d_batchnorm_sign(conv2, bn2), cfg, rng)
+        backend = RRAMBackend(cfg, rng)
+        hw1 = backend.prepare_conv1d(fold_conv1d_batchnorm_sign(conv1, bn1))
+        hw2 = backend.prepare_conv1d(fold_conv1d_batchnorm_sign(conv2, bn2))
         bits = hw1.forward_bits(to_bits(x_pm1))
         bits = max_pool_bits_1d(bits, 2)
         out = hw2.forward_bits(bits)

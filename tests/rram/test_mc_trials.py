@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from repro.nn.binary import FoldedBinaryDense, FoldedOutputDense
-from repro.rram import (AcceleratorConfig, DeviceParameters,
-                        InMemoryDenseLayer, RRAMArray, SenseParameters,
-                        read_bit_errors, trial_streams)
+from repro.rram import (AcceleratorConfig, DeviceParameters, RRAMArray,
+                        SenseParameters, read_bit_errors, trial_streams)
 from repro.rram.mc import trial_chunks
 from repro.runtime import RRAMBackend, plan_from_folded
 
@@ -28,9 +27,8 @@ def _dense_hw(seed=0, out_features=24, in_features=50, sigma=0.15):
         theta=rng.standard_normal(out_features),
         gamma_sign=np.ones(out_features), beta_sign=np.ones(out_features))
     config = AcceleratorConfig(sense=SenseParameters(offset_sigma=sigma))
-    return folded, InMemoryDenseLayer(folded, config,
-                                      np.random.default_rng(seed + 1),
-                                      fast_path=False)
+    return folded, RRAMBackend(config, np.random.default_rng(seed + 1),
+                               fast_path=False).prepare_dense(folded)
 
 
 class TestTrialStreams:
@@ -103,7 +101,7 @@ class TestControllerTrialScans:
         x = np.random.default_rng(9).integers(0, 2, (7, 50)).astype(np.uint8)
         batched = hw.forward_bits_trials(x, trial_streams(21, 5),
                                          trial_chunk=trial_chunk)
-        serial = np.stack([hw.forward_bits(x, rng=r)
+        serial = np.stack([hw.forward_bits_trials(x, [r])[0]
                            for r in trial_streams(21, 5)])
         assert np.array_equal(batched, serial)
 
@@ -137,9 +135,8 @@ class TestControllerTrialScans:
         override = hw.forward_bits_trials(
             x, trial_streams(8, 4), sense=SenseParameters(offset_sigma=0.7))
         config = AcceleratorConfig(sense=SenseParameters(offset_sigma=0.7))
-        rebuilt = InMemoryDenseLayer(folded, config,
-                                     np.random.default_rng(1),
-                                     fast_path=False)
+        rebuilt = RRAMBackend(config, np.random.default_rng(1),
+                              fast_path=False).prepare_dense(folded)
         native = rebuilt.forward_bits_trials(x, trial_streams(8, 4))
         assert np.array_equal(override, native)
 
@@ -148,8 +145,8 @@ class TestControllerTrialScans:
         folded = FoldedBinaryDense(
             rng.integers(0, 2, (8, 40)).astype(np.uint8),
             theta=np.zeros(8), gamma_sign=np.ones(8), beta_sign=np.ones(8))
-        hw = InMemoryDenseLayer(folded, AcceleratorConfig(ideal=True),
-                                np.random.default_rng(1))
+        hw = RRAMBackend(AcceleratorConfig(ideal=True),
+                         np.random.default_rng(1)).prepare_dense(folded)
         assert hw.controller.fast_path
         x = rng.integers(0, 2, (6, 40)).astype(np.uint8)
         out = hw.forward_bits_trials(x, trial_streams(0, 3))
@@ -170,37 +167,39 @@ class TestControllerTrialScans:
         folded = FoldedBinaryDense(
             rng.integers(0, 2, (8, 40)).astype(np.uint8),
             theta=np.zeros(8), gamma_sign=np.ones(8), beta_sign=np.ones(8))
-        hw = InMemoryDenseLayer(folded, AcceleratorConfig(ideal=True),
-                                np.random.default_rng(1))
+        hw = RRAMBackend(AcceleratorConfig(ideal=True),
+                         np.random.default_rng(1)).prepare_dense(folded)
         x = rng.integers(0, 2, (4, 40)).astype(np.uint8)
         noisy = SenseParameters(offset_sigma=0.5)
         with pytest.raises(ValueError, match="fast_path=False"):
             hw.forward_bits_trials(x, trial_streams(0, 2), sense=noisy)
         with pytest.raises(ValueError, match="fast_path=False"):
-            hw.forward_bits(x, sense=noisy)
+            hw.forward_bits_trials(x, [hw.controller.rng], sense=noisy)
         # A zero-sigma override is honoured trivially (no noise to draw).
-        out = hw.forward_bits(x, sense=SenseParameters(offset_sigma=0.0))
+        out = hw.forward_bits_trials(
+            x, [hw.controller.rng],
+            sense=SenseParameters(offset_sigma=0.0))[0]
         assert np.array_equal(out, folded.forward_bits(x))
 
 
 class TestConvTrialReads:
     def _conv_hw(self):
-        from repro.rram.conv import FoldedBinaryConv1d, InMemoryConv1dLayer
+        from repro.rram.conv import FoldedBinaryConv1d
         rng = np.random.default_rng(2)
         folded = FoldedBinaryConv1d(
             weight_bits=rng.integers(0, 2, (6, 4 * 3)).astype(np.uint8),
             in_channels=4, kernel_size=3, stride=1,
             theta=rng.standard_normal(6), gamma_sign=np.ones(6),
             beta_sign=np.ones(6))
-        hw = InMemoryConv1dLayer(folded, AcceleratorConfig(),
-                                 np.random.default_rng(3), fast_path=False)
+        hw = RRAMBackend(AcceleratorConfig(), np.random.default_rng(3),
+                         fast_path=False).prepare_conv1d(folded)
         x = rng.integers(0, 2, (5, 4, 11)).astype(np.uint8)
         return hw, x
 
     def test_batched_equals_per_trial_loop(self):
         hw, x = self._conv_hw()
         batched = hw.forward_bits_trials(x, trial_streams(6, 4))
-        serial = np.stack([hw.forward_bits(x, rng=r)
+        serial = np.stack([hw.forward_bits_trials(x, [r])[0]
                            for r in trial_streams(6, 4)])
         assert np.array_equal(batched, serial)
 
@@ -242,7 +241,8 @@ class TestClassifierTrials:
         plan, x = _classifier_plan(4, AcceleratorConfig())
         layer, out = (op.executor for op in plan.layer_ops)
         batched = plan.scores_trials(x, 4, seed=1)
-        serial = [out.forward_scores(layer.forward_bits(x, rng=r), rng=r)
+        serial = [out.forward_scores_trials(
+                      layer.forward_bits_trials(x, [r])[0], [r])[0]
                   for r in trial_streams(1, 4)]
         assert np.array_equal(batched, np.stack(serial))
         labels = plan.predict_trials(x, 4, seed=1)
@@ -260,13 +260,15 @@ class TestClassifierTrials:
         sense = SenseParameters(offset_sigma=5.0)
         noisy = plan.scores_trials(x, 3, seed=2, sense=sense)
         assert not np.array_equal(noisy, quiet)
-        serial = [out.forward_scores(
-                      layer.forward_bits(x, rng=r, sense=sense),
-                      rng=r, sense=sense)
+        serial = [out.forward_scores_trials(
+                      layer.forward_bits_trials(x, [r], sense=sense)[0],
+                      [r], sense=sense)[0]
                   for r in trial_streams(2, 3)]
         assert np.array_equal(noisy, np.stack(serial))
-        hidden_only = [out.forward_scores(
-                           layer.forward_bits(x, rng=r, sense=sense), rng=r)
+        hidden_only = [out.forward_scores_trials(
+                           layer.forward_bits_trials(x, [r],
+                                                     sense=sense)[0],
+                           [r])[0]
                        for r in trial_streams(2, 3)]
         assert not np.array_equal(noisy, np.stack(hidden_only))
         assert np.array_equal(
@@ -285,9 +287,10 @@ class TestClassifierTrials:
         serial = []
         for r in trial_streams(3, 4):
             serial.append(np.concatenate([
-                out.forward_scores(
-                    layer.forward_bits(x[s:s + 5], rng=r, sense=sense),
-                    rng=r, sense=sense)
+                out.forward_scores_trials(
+                    layer.forward_bits_trials(x[s:s + 5], [r],
+                                              sense=sense)[0],
+                    [r], sense=sense)[0]
                 for s in range(0, len(x), 5)]))
         assert np.array_equal(chunked, np.stack(serial))
         assert np.array_equal(

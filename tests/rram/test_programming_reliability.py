@@ -6,8 +6,7 @@ import pytest
 from repro.rram import (DeviceParameters, ProgramVerifyConfig, RRAMArray,
                         RetentionModel, SenseParameters, YieldAnalysis,
                         analytic_ber_1t1r, analytic_ber_2t2r,
-                        program_array_verified, program_row_verified,
-                        retention_ber_1t1r, retention_ber_2t2r)
+                        program_array_verified, program_row_verified)
 
 
 def _noisy_array(rng, rows=16, cols=16):
@@ -86,8 +85,10 @@ class TestRetention:
         params = DeviceParameters()
         model = RetentionModel()
         hours = np.array([1.0, 100.0, 1e4, 1e6])
-        curve_1t = retention_ber_1t1r(params, model, hours)
-        curve_2t = retention_ber_2t2r(params, model, hours)
+        curve_1t = analytic_ber_1t1r(params, 1e8, retention=model,
+                                     hours=hours)
+        curve_2t = analytic_ber_2t2r(params, 1e8, retention=model,
+                                     hours=hours)
         assert np.all(np.diff(curve_1t) > 0)
         assert np.all(np.diff(curve_2t) > 0)
 
@@ -97,15 +98,26 @@ class TestRetention:
         params = DeviceParameters()
         model = RetentionModel()
         hours = np.array([1.0, 1e2, 1e4, 1e5])
-        curve_1t = retention_ber_1t1r(params, model, hours)
-        curve_2t = retention_ber_2t2r(params, model, hours)
+        curve_1t = analytic_ber_1t1r(params, 1e8, retention=model,
+                                     hours=hours)
+        curve_2t = analytic_ber_2t2r(params, 1e8, retention=model,
+                                     hours=hours)
         assert np.all(curve_2t < curve_1t)
 
-    def test_matches_base_model_at_time_zero(self):
+    @pytest.mark.parametrize("cycles", [1e6, 1e8, 3e8, 7e8])
+    def test_matches_base_model_at_time_zero(self, cycles):
+        """No drift at the reference time: the retention terms add exact
+        zeros, so the BER equals the endurance-only BER bit for bit."""
         params = DeviceParameters()
         model = RetentionModel()
-        assert np.isclose(float(retention_ber_1t1r(params, model, 1.0)),
-                          float(analytic_ber_1t1r(params, 1e8)), rtol=1e-6)
+        for ber in (analytic_ber_1t1r, analytic_ber_2t2r):
+            aged = ber(params, cycles, retention=model,
+                       hours=model.reference_hours)
+            assert float(aged) == float(ber(params, cycles))
+
+    def test_storage_hours_need_a_retention_model(self):
+        with pytest.raises(ValueError, match="retention model"):
+            analytic_ber_2t2r(DeviceParameters(), 1e8, hours=10.0)
 
 
 class TestYield:

@@ -20,11 +20,11 @@ import pytest
 
 from repro.nn.binary import FoldedBinaryDense, FoldedOutputDense
 from repro.rram import (AcceleratorConfig, EccMemoryController,
-                        InMemoryDenseLayer, InMemoryOutputLayer,
                         MacroGeometry, MemoryController, SenseParameters,
                         ShardedController)
-from repro.rram.conv import FoldedBinaryConv1d, InMemoryConv1dLayer
-from repro.rram.conv2d import FoldedBinaryConv2d, InMemoryConv2dLayer
+from repro.rram.conv import FoldedBinaryConv1d
+from repro.rram.conv2d import FoldedBinaryConv2d
+from repro.runtime import RRAMBackend
 
 CONFIG = AcceleratorConfig(sense=SenseParameters(offset_sigma=2.0), seed=5)
 
@@ -113,7 +113,7 @@ class TestSingleReadRankCheck:
             controller.popcounts(x[None])
 
     def test_forward_bits_refuses_a_trial_stack(self, rng):
-        layer = InMemoryDenseLayer(_dense(rng), CONFIG)
+        layer = RRAMBackend(CONFIG).prepare_dense(_dense(rng))
         x = rng.integers(0, 2, (5, 20)).astype(np.uint8)
         with pytest.raises(ValueError, match="input shape"):
             layer.forward_bits(x[None])
@@ -122,17 +122,17 @@ class TestSingleReadRankCheck:
         folded = FoldedOutputDense(
             rng.integers(0, 2, (3, 20)).astype(np.uint8),
             scale=np.ones(3), offset=np.zeros(3))
-        layer = InMemoryOutputLayer(folded, CONFIG)
+        layer = RRAMBackend(CONFIG).prepare_output(folded)
         x = rng.integers(0, 2, (5, 20)).astype(np.uint8)
         with pytest.raises(ValueError, match="input shape"):
             layer.forward_scores(x[None])
 
     def test_conv_forward_bits_refuses_a_trial_stack(self, rng):
-        conv1d = InMemoryConv1dLayer(_conv1d(rng), CONFIG)
+        conv1d = RRAMBackend(CONFIG).prepare_conv1d(_conv1d(rng))
         x1 = rng.integers(0, 2, (2, 3, 12)).astype(np.uint8)
         with pytest.raises(ValueError, match="input shape"):
             conv1d.forward_bits(x1[None])
-        conv2d = InMemoryConv2dLayer(_conv2d(rng), CONFIG)
+        conv2d = RRAMBackend(CONFIG).prepare_conv2d(_conv2d(rng))
         x2 = rng.integers(0, 2, (2, 3, 6, 6)).astype(np.uint8)
         with pytest.raises(ValueError, match="input shape"):
             conv2d.forward_bits(x2[None])

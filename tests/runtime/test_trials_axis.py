@@ -48,10 +48,10 @@ class TestScoresTrials:
         for stream in trial_streams(5, 3):
             x = plan.ops[0].run(np.asarray(inputs))
             for op in plan.ops[1:-1]:
-                x = op.executor.forward_bits(x, rng=stream) \
+                x = op.executor.forward_bits_trials(x, [stream])[0] \
                     if hasattr(op, "executor") else op.run(x)
-            serial.append(plan.ops[-1].executor.forward_scores(
-                x, rng=stream))
+            serial.append(plan.ops[-1].executor.forward_scores_trials(
+                x, [stream])[0])
         assert np.array_equal(batched, np.stack(serial))
 
     def test_trial_chunk_invariant(self, model_and_inputs):
