@@ -5,8 +5,8 @@ The paper positions binarization against the 8-bit quantized reference
 
 1. train a real-weight ECG network once;
 2. post-training-quantize its weights at 16/8/4/2 bits ("no retraining");
-3. train a quantization-aware 8-bit variant of the classifier and lower it
-   to the pure-integer kernel an 8-bit edge accelerator executes;
+3. lower the first classifier layer to the pure-integer kernel an 8-bit
+   edge accelerator executes;
 4. train the paper's binarized-classifier variant;
 5. report accuracy and weight memory side by side.
 

@@ -1,19 +1,12 @@
 """Memory-footprint and quantization analysis (paper Table IV)."""
 
-from repro.analysis.memory import (MemoryBreakdown, model_memory,
-                                   format_bytes, equivalent_bits)
-from repro.analysis.quantization import (quantize_array,
-                                         quantize_model_weights,
-                                         quantization_error)
-from repro.analysis.tradeoff import (TradeoffPoint, pareto_frontier,
-                                     accuracy_at_budget, TradeoffStudy)
+from repro.analysis.memory import MemoryBreakdown, model_memory, format_bytes
+from repro.analysis.quantization import quantize_array, quantize_model_weights
 from repro.analysis.lifetime import (interpolate_accuracy,
                                      accuracy_vs_cycles, usable_cycles)
 
 __all__ = [
-    "MemoryBreakdown", "model_memory", "format_bytes", "equivalent_bits",
-    "quantize_array", "quantize_model_weights", "quantization_error",
-    "TradeoffPoint", "pareto_frontier", "accuracy_at_budget",
-    "TradeoffStudy",
+    "MemoryBreakdown", "model_memory", "format_bytes",
+    "quantize_array", "quantize_model_weights",
     "interpolate_accuracy", "accuracy_vs_cycles", "usable_cycles",
 ]

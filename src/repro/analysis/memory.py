@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MemoryBreakdown", "model_memory", "format_bytes",
-           "equivalent_bits"]
+__all__ = ["MemoryBreakdown", "model_memory", "format_bytes"]
 
 
 def format_bytes(n_bytes: float) -> str:
@@ -102,20 +101,3 @@ def model_memory(name: str, model,
     return MemoryBreakdown(name, model.feature_parameters(),
                            model.classifier_parameters(),
                            binary_classifier_params=binary_classifier_params)
-
-
-def equivalent_bits(real_breakdown: MemoryBreakdown,
-                    bnn_breakdown: MemoryBreakdown,
-                    reference_bits: int = 32) -> float:
-    """Memory of a fully binarized (possibly filter-augmented) network
-    relative to the mixed binarized-classifier model, in 'equivalent bits'.
-
-    Used for the paper's §III-C comparison: "the binarized classifier model
-    accuracy is ... better ... compared to those with all-binarized network
-    of equivalent number of bits".  Returns the ratio
-    (BNN total bits) / (binarized-classifier model total bits).
-    """
-    bnn_bits = bnn_breakdown.total_params          # 1 bit per weight
-    mixed_bits = (real_breakdown.feature_params * reference_bits
-                  + real_breakdown.classifier_params)
-    return bnn_bits / mixed_bits

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-__all__ = ["quantize_array", "quantize_model_weights", "quantization_error"]
+__all__ = ["quantize_array", "quantize_model_weights"]
 
 
 def quantize_array(values: np.ndarray, bits: int = 8) -> np.ndarray:
@@ -45,13 +45,3 @@ def quantize_model_weights(model: Module, bits: int = 8) -> Module:
             continue
         param.data = quantize_array(param.data, bits)
     return model
-
-
-def quantization_error(values: np.ndarray, bits: int = 8) -> float:
-    """RMS relative error introduced by quantization (diagnostics)."""
-    values = np.asarray(values, dtype=float)
-    err = values - quantize_array(values, bits)
-    denom = np.sqrt(np.mean(values ** 2))
-    if denom == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(err ** 2)) / denom)

@@ -36,8 +36,8 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
                 "program cycles; the 2T2R differential read sits about two "
                 "orders of magnitude below single-ended sensing."),
             kind="analytic",
-            modules=("repro.rram.device", "repro.rram.cell",
-                     "repro.rram.sense", "repro.rram.errors"),
+            modules=("repro.rram.device", "repro.rram.sense",
+                     "repro.rram.errors"),
             bench="benchmarks/bench_fig4_bit_error_rate.py",
             runner="run_fig4"),
         ExperimentInfo(

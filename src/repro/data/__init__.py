@@ -1,4 +1,4 @@
-"""Datasets, loaders, cross-validation and the synthetic signal generators.
+"""Datasets, cross-validation and the synthetic signal generators.
 
 The paper's corpora (PhysioNet EEG Motor Movement/Imagery, Challenge-Data
 ECG electrode inversion, ImageNet-1K) cannot ship with an offline
@@ -8,33 +8,26 @@ discriminative structure — see the module docstrings of :mod:`repro.data.eeg`,
 table in ``DESIGN.md``.
 """
 
-from repro.data.dataset import Dataset, ArrayDataset, Subset
-from repro.data.dataloader import DataLoader
-from repro.data.crossval import kfold_indices, stratified_kfold_indices
-from repro.data.transforms import ChannelStandardizer, GaussianNoiseAugment
+from repro.data.dataset import Dataset, ArrayDataset
+from repro.data.crossval import stratified_kfold_indices
+from repro.data.transforms import GaussianNoiseAugment
 from repro.data.eeg import EEGConfig, make_eeg_dataset
 from repro.data.ecg import ECGConfig, make_ecg_dataset, derive_leads
 from repro.data.images import ImageConfig, make_image_dataset
-from repro.data.filters import (EEG_BANDS, band_power, bandpass_filter,
-                                notch_filter, relative_band_power,
-                                remove_baseline_wander, resample_signal)
-from repro.data.windows import (window_count, sliding_windows,
-                                aggregate_votes, aggregate_scores)
+from repro.data.filters import (EEG_BANDS, band_power, notch_filter,
+                                remove_baseline_wander)
+from repro.data.windows import window_count, sliding_windows
 from repro.data.seizure import (SeizureConfig, make_seizure_dataset,
                                 spike_wave_train)
 
 __all__ = [
-    "Dataset", "ArrayDataset", "Subset",
-    "DataLoader",
-    "kfold_indices", "stratified_kfold_indices",
-    "ChannelStandardizer", "GaussianNoiseAugment",
+    "Dataset", "ArrayDataset",
+    "stratified_kfold_indices",
+    "GaussianNoiseAugment",
     "EEGConfig", "make_eeg_dataset",
     "ECGConfig", "make_ecg_dataset", "derive_leads",
     "ImageConfig", "make_image_dataset",
-    "EEG_BANDS", "bandpass_filter", "notch_filter",
-    "remove_baseline_wander", "band_power", "relative_band_power",
-    "resample_signal",
-    "window_count", "sliding_windows", "aggregate_votes",
-    "aggregate_scores",
+    "EEG_BANDS", "notch_filter", "remove_baseline_wander", "band_power",
+    "window_count", "sliding_windows",
     "SeizureConfig", "make_seizure_dataset", "spike_wave_train",
 ]

@@ -3,36 +3,15 @@
 The paper evaluates both medical tasks with five-fold cross-validation
 ("the dataset is partitioned into five non-overlapping validation subsets
 not seen during the training", §III-A), repeated five times with fresh
-models.  :func:`kfold_indices` produces the partition; stratified splitting
-keeps class balance inside each fold.
+models.  :func:`stratified_kfold_indices` produces the partition and keeps
+class balance inside each fold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kfold_indices", "stratified_kfold_indices"]
-
-
-def kfold_indices(n: int, k: int, rng: np.random.Generator | None = None
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split ``range(n)`` into ``k`` (train, validation) index pairs.
-
-    Folds are non-overlapping and jointly cover all indices; fold sizes
-    differ by at most one.
-    """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    order = np.arange(n)
-    if rng is not None:
-        rng.shuffle(order)
-    folds = np.array_split(order, k)
-    splits = []
-    for i in range(k):
-        val = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        splits.append((train, val))
-    return splits
+__all__ = ["stratified_kfold_indices"]
 
 
 def stratified_kfold_indices(labels: np.ndarray, k: int,

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "Subset"]
+__all__ = ["Dataset", "ArrayDataset"]
 
 
 class Dataset:
@@ -40,26 +38,3 @@ class ArrayDataset(Dataset):
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-
-class Subset(Dataset):
-    """A view over selected indices of another dataset."""
-
-    def __init__(self, base: Dataset, indices: Sequence[int]):
-        self.base = base
-        self.indices = np.asarray(indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index):
-        return self.base[self.indices[index]]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize the subset as ``(inputs, labels)`` arrays."""
-        if isinstance(self.base, ArrayDataset):
-            return (self.base.inputs[self.indices],
-                    self.base.labels[self.indices])
-        pairs = [self.base[i] for i in self.indices]
-        return (np.stack([p[0] for p in pairs]),
-                np.asarray([p[1] for p in pairs]))

@@ -2,10 +2,9 @@
 
 The paper's only preprocessing is per-channel standardization (§III-A), but
 real EEG/ECG front-ends filter before the network sees anything: powerline
-notch, band-pass into the physiological band, and drift removal.  This
-module provides that front-end so the examples can run a realistic
-acquisition pipeline, and so the EEG generator's mu-rhythm structure can be
-verified spectrally in tests.
+notch and drift removal.  This module provides that front-end so the
+examples can run a realistic acquisition pipeline, and a band-power feature
+so the generators' spectral structure can be verified in tests.
 
 All filters operate on arrays shaped ``(..., time)`` — the trailing axis is
 time, matching the ``(trials, channels, samples)`` layout of
@@ -20,12 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bandpass_filter",
     "notch_filter",
     "remove_baseline_wander",
     "band_power",
-    "relative_band_power",
-    "resample_signal",
     "EEG_BANDS",
 ]
 
@@ -43,26 +39,6 @@ def _validate_rate(sample_rate_hz: float) -> float:
     if sample_rate_hz <= 0:
         raise ValueError(f"sample rate must be positive, got {sample_rate_hz}")
     return float(sample_rate_hz)
-
-
-def bandpass_filter(data: np.ndarray, low_hz: float, high_hz: float,
-                    sample_rate_hz: float, order: int = 4) -> np.ndarray:
-    """Zero-phase Butterworth band-pass along the last axis.
-
-    Zero-phase (forward-backward) filtering preserves the temporal alignment
-    of ECG fiducial points and EEG event timing, which matters for the
-    convolutional feature extractor.
-    """
-    sample_rate_hz = _validate_rate(sample_rate_hz)
-    nyquist = sample_rate_hz / 2
-    if not 0 < low_hz < high_hz < nyquist:
-        raise ValueError(
-            f"need 0 < low ({low_hz}) < high ({high_hz}) < Nyquist "
-            f"({nyquist})")
-    from scipy import signal as sp_signal
-    sos = sp_signal.butter(order, [low_hz, high_hz], btype="bandpass",
-                           fs=sample_rate_hz, output="sos")
-    return sp_signal.sosfiltfilt(sos, np.asarray(data, dtype=float), axis=-1)
 
 
 def notch_filter(data: np.ndarray, notch_hz: float, sample_rate_hz: float,
@@ -97,9 +73,8 @@ def band_power(data: np.ndarray, low_hz: float, high_hz: float,
 
     Integrates the Welch power spectral density over the band along the last
     axis; returns an array with the time axis reduced away.  Integrated (not
-    mean) PSD makes powers additive over disjoint bands, so
-    :func:`relative_band_power` is a proper fraction.  This is the feature
-    the EEG task's discriminative structure lives in (mu-band
+    mean) PSD makes powers additive over disjoint bands.  This is the
+    feature the EEG task's discriminative structure lives in (mu-band
     desynchronization).
     """
     sample_rate_hz = _validate_rate(sample_rate_hz)
@@ -115,37 +90,3 @@ def band_power(data: np.ndarray, low_hz: float, high_hz: float,
     if mask.sum() < 2:
         raise ValueError("band too narrow for the spectral resolution")
     return np.trapezoid(psd[..., mask], freqs[mask], axis=-1)
-
-
-def relative_band_power(data: np.ndarray, low_hz: float, high_hz: float,
-                        sample_rate_hz: float,
-                        total_band: tuple[float, float] | None = None
-                        ) -> np.ndarray:
-    """Band power normalized by total power — amplitude-scale invariant."""
-    if total_band is None:
-        total_band = (0.5, sample_rate_hz / 2 * 0.99)
-    numer = band_power(data, low_hz, high_hz, sample_rate_hz)
-    denom = band_power(data, total_band[0], total_band[1], sample_rate_hz)
-    return numer / np.maximum(denom, np.finfo(float).tiny)
-
-
-def resample_signal(data: np.ndarray, rate_in_hz: float, rate_out_hz: float
-                    ) -> np.ndarray:
-    """Polyphase resampling along the last axis (e.g. 250 Hz -> 160 Hz).
-
-    Lets a model trained at one acquisition rate ingest recordings from
-    hardware running at another.
-    """
-    rate_in_hz = _validate_rate(rate_in_hz)
-    rate_out_hz = _validate_rate(rate_out_hz)
-    if rate_in_hz == rate_out_hz:
-        return np.asarray(data, dtype=float).copy()
-    from math import gcd
-    # Rational approximation good to ~1e-6 relative error.
-    scaled_in = int(round(rate_in_hz * 1000))
-    scaled_out = int(round(rate_out_hz * 1000))
-    common = gcd(scaled_in, scaled_out)
-    up, down = scaled_out // common, scaled_in // common
-    from scipy import signal as sp_signal
-    return sp_signal.resample_poly(np.asarray(data, dtype=float), up, down,
-                                   axis=-1)

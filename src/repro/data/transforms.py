@@ -1,46 +1,14 @@
-"""Data preprocessing and augmentation.
+"""Data augmentation.
 
-The paper's only EEG preprocessing is "per-channel normalization by
-subtracting the mean and dividing by variance" (§III-A), and its only
-augmentation is "small amplitude noise added to each training sample".
+The paper's only augmentation is "small amplitude noise added to each
+training sample" (§III-A).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ChannelStandardizer", "GaussianNoiseAugment"]
-
-
-class ChannelStandardizer:
-    """Per-channel standardization fitted on training data.
-
-    Works on ``(N, C, ...)`` arrays; statistics are computed over the batch
-    and all trailing axes, per channel.
-    """
-
-    def __init__(self, eps: float = 1e-8):
-        self.eps = eps
-        self.mean: np.ndarray | None = None
-        self.std: np.ndarray | None = None
-
-    def fit(self, data: np.ndarray) -> "ChannelStandardizer":
-        data = np.asarray(data)
-        axes = (0,) + tuple(range(2, data.ndim))
-        self.mean = data.mean(axis=axes)
-        self.std = data.std(axis=axes) + self.eps
-        return self
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        if self.mean is None or self.std is None:
-            raise RuntimeError("standardizer must be fitted before transform")
-        data = np.asarray(data)
-        shape = [1] * data.ndim
-        shape[1] = len(self.mean)
-        return (data - self.mean.reshape(shape)) / self.std.reshape(shape)
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
+__all__ = ["GaussianNoiseAugment"]
 
 
 class GaussianNoiseAugment:

@@ -3,23 +3,18 @@
 The paper's models consume fixed-length trials (six seconds of EEG, three
 seconds of ECG), but a deployed monitor sees one *continuous* multichannel
 stream.  The standard bridge is sliding-window epoching: cut the stream
-into overlapping windows, classify each, and aggregate window decisions
-back to an event/recording level.  This module provides both directions:
+into overlapping windows and classify each.  This module provides:
 
 * :func:`sliding_windows` — strided views over ``(channels, time)`` or
   batched recordings, with hop control (overlap);
-* :func:`window_count` — how many windows a recording yields;
-* :func:`aggregate_votes` / :func:`aggregate_scores` — recording-level
-  decisions from per-window outputs (majority vote, or mean-score argmax —
-  the standard test-time augmentation used by EEG pipelines).
+* :func:`window_count` — how many windows a recording yields.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["window_count", "sliding_windows", "aggregate_votes",
-           "aggregate_scores"]
+__all__ = ["window_count", "sliding_windows"]
 
 
 def window_count(n_samples: int, window: int, hop: int) -> int:
@@ -57,37 +52,3 @@ def sliding_windows(recording: np.ndarray, window: int,
         recording, shape=(count, channels, window),
         strides=(st * hop, sc, st), writeable=False)
     return views.copy()
-
-
-def aggregate_votes(window_predictions: np.ndarray,
-                    num_classes: int | None = None) -> int:
-    """Majority vote over per-window class predictions.
-
-    Ties break toward the lower class index (deterministic).  This is the
-    robust aggregation when only hard decisions are available (e.g. from
-    the in-memory classifier's argmax output).
-    """
-    preds = np.asarray(window_predictions, dtype=np.int64).ravel()
-    if preds.size == 0:
-        raise ValueError("no window predictions to aggregate")
-    if preds.min() < 0:
-        raise ValueError("predictions must be non-negative class indices")
-    if num_classes is None:
-        num_classes = int(preds.max()) + 1
-    counts = np.bincount(preds, minlength=num_classes)
-    return int(counts.argmax())
-
-
-def aggregate_scores(window_scores: np.ndarray) -> tuple[int, np.ndarray]:
-    """Mean-score aggregation: average per-window class scores, argmax.
-
-    Returns ``(predicted_class, mean_scores)``.  Preferred over voting
-    when real-valued scores are available — near-ties between windows then
-    contribute proportionally instead of flipping whole votes.
-    """
-    scores = np.asarray(window_scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] == 0:
-        raise ValueError(
-            f"expected (n_windows, n_classes) scores, got {scores.shape}")
-    mean = scores.mean(axis=0)
-    return int(mean.argmax()), mean

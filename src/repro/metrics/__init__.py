@@ -18,7 +18,6 @@ from repro.metrics.classification import (
     confusion_matrix,
     precision_recall_f1,
     sensitivity_specificity,
-    top_k_accuracy,
 )
 from repro.metrics.ranking import roc_auc, roc_curve
 from repro.metrics.report import (ClassificationReport, LatencySummary,
@@ -31,7 +30,6 @@ __all__ = [
     "confusion_matrix",
     "precision_recall_f1",
     "sensitivity_specificity",
-    "top_k_accuracy",
     "roc_curve",
     "roc_auc",
     "ClassificationReport",

@@ -16,7 +16,6 @@ __all__ = [
     "confusion_matrix",
     "precision_recall_f1",
     "sensitivity_specificity",
-    "top_k_accuracy",
 ]
 
 
@@ -107,23 +106,3 @@ def sensitivity_specificity(y_true, y_pred, positive_class: int = 1
     specificity = (float(np.mean(y_pred[neg] != positive_class))
                    if neg.any() else 1.0)
     return sensitivity, specificity
-
-
-def top_k_accuracy(y_true, scores, k: int = 5) -> float:
-    """Fraction of samples whose true class is among the ``k`` highest
-    scores — the paper's ImageNet Top-5 metric (Table III, Fig. 8).
-
-    ``scores`` is ``(N, num_classes)``; ties are broken towards counting the
-    true class as within the top ``k`` only if strictly fewer than ``k``
-    classes score strictly higher.
-    """
-    y_true = np.asarray(y_true, dtype=np.int64).ravel()
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != y_true.size:
-        raise ValueError(
-            f"scores must be (N, C) with N={y_true.size}, got {scores.shape}")
-    if not 1 <= k <= scores.shape[1]:
-        raise ValueError(f"k={k} out of range for {scores.shape[1]} classes")
-    true_scores = scores[np.arange(y_true.size), y_true]
-    n_strictly_higher = np.sum(scores > true_scores[:, None], axis=1)
-    return float(np.mean(n_strictly_higher < k))

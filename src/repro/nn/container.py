@@ -1,13 +1,13 @@
-"""Module containers."""
+"""Module container."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.nn.module import Module
 from repro.tensor import Tensor
 
-__all__ = ["Sequential", "ModuleList", "Flatten"]
+__all__ = ["Sequential"]
 
 
 class Sequential(Module):
@@ -42,40 +42,3 @@ class Sequential(Module):
     def __repr__(self) -> str:
         inner = ",\n  ".join(repr(layer) for layer in self._layers)
         return f"Sequential(\n  {inner}\n)"
-
-
-class ModuleList(Module):
-    """A list of sub-modules, registered for parameter discovery."""
-
-    def __init__(self, modules: Iterable[Module] = ()):
-        super().__init__()
-        self._items: list[Module] = []
-        for module in modules:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
-        return self
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList is a container and cannot be called")
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._items[index]
-
-
-class Flatten(Module):
-    """Collapse all non-batch axes (the "Flatten" rows of Tables I and II)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten_from(1)
-
-    def __repr__(self) -> str:
-        return "Flatten()"

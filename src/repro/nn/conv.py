@@ -6,8 +6,9 @@ The paper's three networks use:
   signals, and the EEG model's per-electrode temporal convolution.
 * ``Conv2d`` — the EEG model's spatial convolution across electrodes
   (Table I) and standard convolutions of MobileNet V1.
-* ``DepthwiseConv2d`` + ``PointwiseConv2d`` — the depthwise-separable blocks
-  that define MobileNet V1 (Howard et al., 2017, ref. [8] of the paper).
+* ``DepthwiseConv2d`` followed by a 1x1 ``Conv2d`` — the
+  depthwise-separable blocks that define MobileNet V1 (Howard et al., 2017,
+  ref. [8] of the paper).
 
 All forward/backward passes are lowered to GEMMs via im2col/col2im.
 """
@@ -21,7 +22,7 @@ from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, col2im_1d, col2im_2d, im2col_1d, im2col_2d
 from repro.tensor.im2col import conv_output_length
 
-__all__ = ["Conv1d", "Conv2d", "DepthwiseConv2d", "PointwiseConv2d"]
+__all__ = ["Conv1d", "Conv2d", "DepthwiseConv2d"]
 
 
 def _pair(value) -> tuple[int, int]:
@@ -238,12 +239,3 @@ class DepthwiseConv2d(Module):
     def __repr__(self) -> str:
         return (f"DepthwiseConv2d({self.channels}, k={self.kernel_size}, "
                 f"s={self.stride}, p={self.padding})")
-
-
-class PointwiseConv2d(Conv2d):
-    """1x1 convolution, the channel-mixing half of a separable block."""
-
-    def __init__(self, in_channels: int, out_channels: int, bias: bool = True,
-                 rng: np.random.Generator | None = None):
-        super().__init__(in_channels, out_channels, kernel_size=1, stride=1,
-                         padding=0, bias=bias, rng=rng)

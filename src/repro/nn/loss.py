@@ -1,4 +1,4 @@
-"""Loss functions."""
+"""Loss function."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.tensor import Tensor
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "SquaredHingeLoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss(Module):
@@ -28,33 +28,3 @@ class CrossEntropyLoss(Module):
 
     def __repr__(self) -> str:
         return "CrossEntropyLoss()"
-
-
-class MSELoss(Module):
-    """Mean squared error against a dense target array."""
-
-    def forward(self, pred: Tensor, target: np.ndarray) -> Tensor:
-        diff = pred - Tensor(np.asarray(target))
-        return (diff * diff).mean()
-
-    def __repr__(self) -> str:
-        return "MSELoss()"
-
-
-class SquaredHingeLoss(Module):
-    """Squared hinge loss on ±1 one-hot targets.
-
-    The original BNN paper (ref. [12]) trains with squared hinge; provided
-    for ablations against cross-entropy.
-    """
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        targets = np.asarray(targets)
-        n, k = logits.shape
-        signs = -np.ones((n, k))
-        signs[np.arange(n), targets] = 1.0
-        margin = (1.0 - logits * Tensor(signs)).relu()
-        return (margin * margin).mean()
-
-    def __repr__(self) -> str:
-        return "SquaredHingeLoss()"

@@ -38,7 +38,7 @@ from repro.nn.module import Module
 from repro.tensor import Tensor
 
 __all__ = ["DEFAULT_LN_MARGIN", "flip_probability", "rram_read_noise",
-           "RramReadNoise", "set_read_noise"]
+           "set_read_noise"]
 
 # ln(median_hrs / median_lrs) of the default 2T2R cell (1e5 / 5e3) with
 # device variability zeroed — the margin every sense decision compares its
@@ -81,42 +81,6 @@ def rram_read_noise(x: Tensor, fan_in: int, sigma: float,
         return (grad,)
 
     return Tensor._make(out_data, (x,), backward)
-
-
-class RramReadNoise(Module):
-    """Noise-injection layer: noisy-read surrogate in train mode,
-    identity in eval.
-
-    Insert after a binary layer whose output is a pre-threshold ±1
-    accumulation over ``fan_in`` bits (before the batch-norm / sign that
-    the hardware folds into its thresholds).  The built-in
-    ``noise_sigma`` knob on the ``Binary*`` layers (set via
-    :func:`set_read_noise`) is usually more convenient; this standalone
-    module exists for hand-built stacks and tests.
-    """
-
-    def __init__(self, fan_in: int, sigma: float,
-                 rng: np.random.Generator | None = None,
-                 margin: float = DEFAULT_LN_MARGIN):
-        super().__init__()
-        if fan_in < 1:
-            raise ValueError(f"fan_in must be >= 1, got {fan_in}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        self.fan_in = int(fan_in)
-        self.sigma = float(sigma)
-        self.margin = float(margin)
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.sigma <= 0.0:
-            return x
-        return rram_read_noise(x, self.fan_in, self.sigma, self.rng,
-                               self.margin)
-
-    def __repr__(self) -> str:
-        return (f"RramReadNoise(fan_in={self.fan_in}, "
-                f"sigma={self.sigma}, margin={self.margin:.4g})")
 
 
 def set_read_noise(model: Module, sigma: float,

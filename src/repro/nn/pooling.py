@@ -14,8 +14,7 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, col2im_1d
 from repro.tensor.im2col import conv_output_length
 
-__all__ = ["MaxPool1d", "AvgPool1d", "MaxPool2d", "AvgPool2d",
-           "GlobalAvgPool2d"]
+__all__ = ["MaxPool1d", "AvgPool1d", "GlobalAvgPool2d"]
 
 
 def _windows_1d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -90,94 +89,6 @@ class AvgPool1d(Module):
 
     def __repr__(self) -> str:
         return f"AvgPool1d(k={self.kernel_size}, s={self.stride})"
-
-
-def _windows_2d(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    h_out = (h - kh) // sh + 1
-    w_out = (w - kw) // sw + 1
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, h_out, w_out, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3), writeable=False)
-
-
-class MaxPool2d(Module):
-    """Max pooling over the spatial axes of ``(N, C, H, W)``."""
-
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        ks = kernel_size if isinstance(kernel_size, (tuple, list)) \
-            else (kernel_size, kernel_size)
-        self.kernel_size = (int(ks[0]), int(ks[1]))
-        if stride is None:
-            self.stride = self.kernel_size
-        else:
-            st = stride if isinstance(stride, (tuple, list)) else (stride, stride)
-            self.stride = (int(st[0]), int(st[1]))
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        windows = _windows_2d(x.data, kh, kw, sh, sw)
-        n_, c_, h_out, w_out, _, _ = windows.shape
-        flat = windows.reshape(n, c, h_out, w_out, kh * kw)
-        arg = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        di, dj = np.unravel_index(arg, (kh, kw))
-        rows = np.arange(h_out)[None, None, :, None] * sh + di
-        cols = np.arange(w_out)[None, None, None, :] * sw + dj
-
-        def backward(grad):
-            grad_x = np.zeros((n * c, h, w), dtype=grad.dtype)
-            batch = np.repeat(np.arange(n * c), h_out * w_out)
-            np.add.at(grad_x,
-                      (batch, rows.reshape(-1), cols.reshape(-1)),
-                      grad.reshape(-1))
-            return (grad_x.reshape(n, c, h, w),)
-
-        return Tensor.from_op(out, [x], backward)
-
-    def __repr__(self) -> str:
-        return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"
-
-
-class AvgPool2d(Module):
-    """Average pooling over the spatial axes of ``(N, C, H, W)``."""
-
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        ks = kernel_size if isinstance(kernel_size, (tuple, list)) \
-            else (kernel_size, kernel_size)
-        self.kernel_size = (int(ks[0]), int(ks[1]))
-        if stride is None:
-            self.stride = self.kernel_size
-        else:
-            st = stride if isinstance(stride, (tuple, list)) else (stride, stride)
-            self.stride = (int(st[0]), int(st[1]))
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        windows = _windows_2d(x.data, kh, kw, sh, sw)
-        out = windows.mean(axis=(-1, -2))
-        h_out, w_out = out.shape[2], out.shape[3]
-        area = kh * kw
-
-        def backward(grad):
-            grad_x = np.zeros((n, c, h, w), dtype=grad.dtype)
-            g = grad / area
-            for i in range(kh):
-                for j in range(kw):
-                    grad_x[:, :, i:i + h_out * sh:sh, j:j + w_out * sw:sw] += g
-            return (grad_x,)
-
-        return Tensor.from_op(out, [x], backward)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"
 
 
 class GlobalAvgPool2d(Module):

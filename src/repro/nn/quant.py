@@ -1,23 +1,17 @@
-"""Multi-bit quantization: QAT layers and integer deployment kernels.
+"""Multi-bit quantization: the integer deployment kernel.
 
 The paper uses an "eight-bit quantized network" as its stronger reference
 point throughout (§I: 8-bit quantization "usually requires no retraining";
 Table IV's 8-bit column; §III-C's "if we assume that convolutional layers can
 be quantized to eight-bits precision").  Post-training quantization of
 trained weights lives in :mod:`repro.analysis.quantization`; this module
-supplies the rest of the quantization stack:
+supplies the deployment side:
 
-* :func:`fake_quantize` — quantize-dequantize with a straight-through
-  gradient, the standard QAT primitive (Hubara et al., paper ref. [10]);
-* :class:`QuantLinear` / :class:`QuantConv1d` / :class:`QuantConv2d` —
-  drop-in layers whose forward pass computes with quantized weights, so the
-  intermediate regime between the paper's REAL and FULL_BINARY modes can be
-  trained and evaluated at any bit width;
-* :class:`ActivationQuantizer` — running-range observer + fake-quant for
-  activations;
+* :func:`quant_scale` — the symmetric per-tensor scale (one LSB in real
+  units);
 * :class:`IntegerDense` / :func:`deploy_dense_int` — the integer-arithmetic
-  kernel an 8-bit edge accelerator executes, bit-exact with the fake-quant
-  float evaluation (the multi-bit analogue of the XNOR-popcount pipeline).
+  kernel an 8-bit edge accelerator executes (the multi-bit analogue of the
+  XNOR-popcount pipeline).
 """
 
 from __future__ import annotations
@@ -26,19 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn import init
-from repro.nn.conv import conv1d_op, conv2d_op, _pair
 from repro.nn.linear import Linear
-from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
 
 __all__ = [
     "quant_scale",
-    "fake_quantize",
-    "QuantLinear",
-    "QuantConv1d",
-    "QuantConv2d",
-    "ActivationQuantizer",
     "IntegerDense",
     "deploy_dense_int",
 ]
@@ -69,168 +54,6 @@ def quant_scale(values: np.ndarray, bits: int) -> float:
     return peak / q_max
 
 
-def fake_quantize(x: Tensor, scale: float, bits: int) -> Tensor:
-    """Quantize-dequantize with a straight-through gradient.
-
-    Forward rounds ``x / scale`` to the integer grid and scales back;
-    backward passes the gradient through inside the representable range and
-    zeroes it outside (values pinned at the grid edge cannot move the loss
-    by growing further).
-    """
-    bits = _check_bits(bits)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    q_max = 2 ** (bits - 1) - 1
-    limit = scale * q_max
-    quantized = np.clip(np.round(x.data / scale), -q_max, q_max) * scale
-    mask = np.abs(x.data) <= limit
-
-    def backward(grad):
-        return (grad * mask,)
-
-    return Tensor._make(quantized, (x,), backward)
-
-
-class QuantLinear(Module):
-    """Fully connected layer computing with ``bits``-wide quantized weights.
-
-    Latent weights stay real for gradient descent; each forward pass
-    re-derives the scale from the current weights (dynamic-range QAT).
-    """
-
-    def __init__(self, in_features: int, out_features: int, bits: int = 8,
-                 bias: bool = True, rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.bits = _check_bits(bits)
-        self.weight = Parameter(init.glorot_uniform(
-            (out_features, in_features), in_features, out_features, rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
-
-    def quantized_weight(self) -> Tensor:
-        scale = quant_scale(self.weight.data, self.bits)
-        return fake_quantize(self.weight, scale, self.bits)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.quantized_weight().T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    def __repr__(self) -> str:
-        return (f"QuantLinear(in={self.in_features}, "
-                f"out={self.out_features}, bits={self.bits})")
-
-
-class QuantConv1d(Module):
-    """1-D convolution with ``bits``-wide quantized weights."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bits: int = 8,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.bits = _check_bits(bits)
-        fan_in = in_channels * kernel_size
-        self.weight = Parameter(init.glorot_uniform(
-            (out_channels, in_channels, kernel_size), fan_in, out_channels,
-            rng))
-
-    def quantized_weight(self) -> Tensor:
-        scale = quant_scale(self.weight.data, self.bits)
-        return fake_quantize(self.weight, scale, self.bits)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv1d_op(x, self.quantized_weight(), None, self.stride,
-                         self.padding)
-
-    def __repr__(self) -> str:
-        return (f"QuantConv1d({self.in_channels}->{self.out_channels}, "
-                f"k={self.kernel_size}, bits={self.bits})")
-
-
-class QuantConv2d(Module):
-    """2-D convolution with ``bits``-wide quantized weights."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size,
-                 stride=1, padding=0, bits: int = 8,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.bits = _check_bits(bits)
-        kh, kw = self.kernel_size
-        fan_in = in_channels * kh * kw
-        self.weight = Parameter(init.glorot_uniform(
-            (out_channels, in_channels, kh, kw), fan_in, out_channels, rng))
-
-    def quantized_weight(self) -> Tensor:
-        scale = quant_scale(self.weight.data, self.bits)
-        return fake_quantize(self.weight, scale, self.bits)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d_op(x, self.quantized_weight(), None, self.stride,
-                         self.padding)
-
-    def __repr__(self) -> str:
-        return (f"QuantConv2d({self.in_channels}->{self.out_channels}, "
-                f"k={self.kernel_size}, bits={self.bits})")
-
-
-class ActivationQuantizer(Module):
-    """Observe activation range during training, fake-quantize everywhere.
-
-    Tracks an exponential moving average of the per-batch absolute maximum
-    (the standard min-max observer, symmetric variant).  In eval mode the
-    frozen range is used, so deployment sees a fixed scale.
-    """
-
-    def __init__(self, bits: int = 8, momentum: float = 0.9):
-        super().__init__()
-        self.bits = _check_bits(bits)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.register_buffer("running_peak", np.zeros(()))
-        self.register_buffer("initialized", np.zeros((), dtype=bool))
-
-    @property
-    def scale(self) -> float:
-        peak = float(self.running_peak)
-        q_max = 2 ** (self.bits - 1) - 1
-        return peak / q_max if peak > 0 else 1.0
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            batch_peak = float(np.abs(x.data).max()) if x.size else 0.0
-            if not bool(self.initialized):
-                new_peak = batch_peak
-                self.set_buffer("initialized", np.ones((), dtype=bool))
-            else:
-                new_peak = (self.momentum * float(self.running_peak)
-                            + (1 - self.momentum) * batch_peak)
-            self.set_buffer("running_peak", np.asarray(new_peak))
-        return fake_quantize(x, self.scale, self.bits)
-
-    def __repr__(self) -> str:
-        return (f"ActivationQuantizer(bits={self.bits}, "
-                f"peak={float(self.running_peak):.4g})")
-
-
-# ---------------------------------------------------------------------------
-# Integer deployment kernel
-# ---------------------------------------------------------------------------
 @dataclass
 class IntegerDense:
     """A dense layer lowered to pure integer arithmetic.
@@ -271,14 +94,12 @@ class IntegerDense:
         return out
 
 
-def deploy_dense_int(layer: Linear | QuantLinear, x_scale: float,
+def deploy_dense_int(layer: Linear, x_scale: float,
                      bits: int = 8) -> IntegerDense:
     """Lower a trained dense layer to the integer kernel.
 
-    ``x_scale`` is the input quantization scale (take it from the preceding
-    :class:`ActivationQuantizer`, or derive it from calibration data with
-    :func:`quant_scale`).  For a :class:`QuantLinear`, the deployed integer
-    weights reproduce the training-time fake-quant weights exactly.
+    ``x_scale`` is the input quantization scale; derive it from
+    calibration data with :func:`quant_scale`.
     """
     bits = _check_bits(bits)
     if x_scale <= 0:

@@ -8,20 +8,14 @@ an analog input ``x`` in [-1, 1] is encoded as a stream of ±1 samples with
 recovers the analog dot product to any desired precision, so even the first
 network layer can run on the binary fabric without ADCs.
 
-This module provides that encoder plus a deterministic variant, and a layer
-that wraps the sampling for end-to-end training (the expectation of the
-stochastic forward equals the hard-tanh forward, so the straight-through
-gradient is unbiased).
+This module provides that encoder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module
-from repro.tensor import Tensor
-
-__all__ = ["stochastic_bits", "stream_decode", "StochasticBinarize"]
+__all__ = ["stochastic_bits"]
 
 
 def stochastic_bits(values: np.ndarray, n_samples: int,
@@ -39,40 +33,3 @@ def stochastic_bits(values: np.ndarray, n_samples: int,
     probability = (1.0 + clipped) / 2.0
     draws = rng.random((n_samples,) + clipped.shape)
     return (draws < probability).astype(np.uint8)
-
-
-def stream_decode(bit_planes: np.ndarray) -> np.ndarray:
-    """Recover the analog estimate from bit planes: mean of ±1 samples."""
-    planes = np.asarray(bit_planes, dtype=float)
-    return (2.0 * planes - 1.0).mean(axis=0)
-
-
-class StochasticBinarize(Module):
-    """Layer form: stochastic ±1 sampling at train time.
-
-    At train time every forward draws fresh ±1 samples (the straight-
-    through gradient passes inside the clip window, as for ``Sign``).  At
-    eval time the deterministic sign is used so inference is repeatable;
-    hardware streams use :func:`stochastic_bits` explicitly.
-    """
-
-    def __init__(self, clip: float = 1.0,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        self.clip = clip
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training:
-            return x.sign_ste(clip=self.clip)
-        probability = (1.0 + np.clip(x.data, -1.0, 1.0)) / 2.0
-        sampled = np.where(self.rng.random(x.shape) < probability, 1.0, -1.0)
-        mask = np.abs(x.data) <= self.clip
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return Tensor.from_op(sampled, [x], backward)
-
-    def __repr__(self) -> str:
-        return f"StochasticBinarize(clip={self.clip})"

@@ -7,9 +7,5 @@ MobileNet model with SGD + momentum (§IV).
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.scheduler import StepLR, CosineAnnealingLR
-from repro.optim.warmup import WarmupLR
-from repro.optim.clip import clip_grad_norm
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineAnnealingLR",
-           "WarmupLR", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam"]

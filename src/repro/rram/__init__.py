@@ -4,10 +4,10 @@ Implements the paper's hardware contribution end to end:
 
 * device statistics with endurance-dependent variability
   (:mod:`~repro.rram.device`);
-* 1T1R and differential 2T2R synapses (:mod:`~repro.rram.cell`);
 * precharge sense amplifiers, plain and XNOR-augmented
   (:mod:`~repro.rram.sense`);
-* the kilobit memory macro with decoders (:mod:`~repro.rram.array`);
+* the kilobit memory macro of 1T1R or differential 2T2R synapses, with
+  decoders (:mod:`~repro.rram.array`);
 * the Fig. 5 in-memory BNN layer architecture, executed by the runtime's
   ``rram``/``sharded`` backends (:mod:`~repro.rram.accelerator`);
 * endurance/BER measurement and fault injection (:mod:`~repro.rram.errors`);
@@ -21,11 +21,10 @@ Implements the paper's hardware contribution end to end:
 * energy/area accounting (:mod:`~repro.rram.energy`).
 """
 
-from repro.rram.device import (DeviceParameters, ResistiveState, RRAMDevice,
-                               analytic_ber_1t1r, analytic_ber_2t2r)
+from repro.rram.device import (DeviceParameters, analytic_ber_1t1r,
+                               analytic_ber_2t2r)
 from repro.rram.sense import (SenseParameters, PrechargeSenseAmplifier,
                               XnorPCSA)
-from repro.rram.cell import OneT1RCell, TwoT2RCell
 from repro.rram.array import RRAMArray
 from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
                                     ShardedController,
@@ -53,15 +52,14 @@ from repro.rram.floorplan import (MacroGeometry, MacroShard, LayerPlacement,
                                   plan_model)
 from repro.rram.conv2d import (FoldedBinaryConv2d, fold_conv2d_batchnorm_sign,
                                fold_depthwise2d_batchnorm_sign,
-                               InMemoryConv2dLayer, max_pool_bits_2d)
+                               InMemoryConv2dLayer)
 from repro.rram.mc import (read_bit_errors, shard_streams, site_stream,
                            trial_chunks, trial_streams)
 
 __all__ = [
-    "DeviceParameters", "ResistiveState", "RRAMDevice",
+    "DeviceParameters",
     "analytic_ber_1t1r", "analytic_ber_2t2r",
     "SenseParameters", "PrechargeSenseAmplifier", "XnorPCSA",
-    "OneT1RCell", "TwoT2RCell",
     "RRAMArray",
     "AcceleratorConfig", "MemoryController", "ShardedController",
     "InMemoryDenseLayer", "InMemoryOutputLayer", "classifier_input_bits",
@@ -83,7 +81,6 @@ __all__ = [
     "plan_classifier", "plan_model",
     "FoldedBinaryConv2d", "fold_conv2d_batchnorm_sign",
     "fold_depthwise2d_batchnorm_sign", "InMemoryConv2dLayer",
-    "max_pool_bits_2d",
     "read_bit_errors", "shard_streams", "site_stream", "trial_chunks",
     "trial_streams",
 ]

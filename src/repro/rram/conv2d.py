@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.binary import threshold_bits, to_bits, xnor_popcount
-from repro.nn.conv import Conv2d
 from repro.nn.norm import _BatchNorm
 from repro.rram.accelerator import _single_batch
 from repro.tensor.im2col import conv_output_length
 
 __all__ = ["FoldedBinaryConv2d", "fold_conv2d_batchnorm_sign",
-           "fold_depthwise2d_batchnorm_sign", "InMemoryConv2dLayer",
-           "max_pool_bits_2d"]
+           "fold_depthwise2d_batchnorm_sign", "InMemoryConv2dLayer"]
 
 
 def _threshold_channels(dot: np.ndarray, theta: np.ndarray,
@@ -246,21 +244,3 @@ class InMemoryConv2dLayer:
                                   f.beta_sign[None, :])
         return out.reshape(n_trials, n, h_out, w_out, f.out_channels) \
             .transpose(0, 1, 4, 2, 3)
-
-
-def max_pool_bits_2d(bits: np.ndarray, kernel: int,
-                     stride: int | None = None) -> np.ndarray:
-    """2-D max-pooling on activation bits (logical OR in the periphery)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 4:
-        raise ValueError(f"expected (N, C, H, W) bits, got {bits.shape}")
-    stride = stride or kernel
-    n, c, height, width = bits.shape
-    h_out = (height - kernel) // stride + 1
-    w_out = (width - kernel) // stride + 1
-    sn, sc, sh, sw = bits.strides
-    windows = np.lib.stride_tricks.as_strided(
-        bits, shape=(n, c, h_out, w_out, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False)
-    return windows.max(axis=(-2, -1))

@@ -10,9 +10,6 @@ effects behind the rising bit-error-rate curves of Fig. 4.
 
 Two access paths are provided:
 
-* :class:`RRAMDevice` — a scalar device with explicit ``program``/``read``
-  operations and a cycle counter; used by the cell/sense models and unit
-  tests.
 * vectorized sampling (:meth:`DeviceParameters.sample_resistance`) — used by
   :class:`repro.rram.array.RRAMArray` to program thousands of devices at
   once.
@@ -27,21 +24,12 @@ orders of magnitude lower, matching Fig. 4's measurements.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ResistiveState", "DeviceParameters", "RRAMDevice",
-           "analytic_ber_1t1r", "analytic_ber_2t2r"]
-
-
-class ResistiveState(enum.Enum):
-    """Programmed state of a filamentary RRAM device."""
-
-    LRS = "low_resistance"    # SET: conductive filament formed
-    HRS = "high_resistance"   # RESET: filament dissolved
+__all__ = ["DeviceParameters", "analytic_ber_1t1r", "analytic_ber_2t2r"]
 
 
 @dataclass
@@ -106,49 +94,6 @@ class DeviceParameters:
         sigma = mismatch * np.where(state, self.sigma_lrs(cycles),
                                     self.sigma_hrs(cycles))
         return np.exp(rng.normal(mu, sigma))
-
-
-class RRAMDevice:
-    """A single 1T1R-accessible RRAM device.
-
-    Tracks its cycle count; every ``program`` re-draws the resistance from
-    the wear-dependent distribution, reproducing cycle-to-cycle variability.
-    """
-
-    def __init__(self, params: DeviceParameters | None = None,
-                 rng: np.random.Generator | None = None,
-                 mismatch: float = 1.0):
-        self.params = params or DeviceParameters()
-        self.rng = rng or np.random.default_rng()
-        self.mismatch = mismatch
-        self.cycles = 0
-        self.state: ResistiveState | None = None
-        self.resistance = float("nan")
-
-    def form(self) -> None:
-        """One-time forming: leaves the device in LRS."""
-        self.program(ResistiveState.LRS)
-
-    def program(self, state: ResistiveState) -> None:
-        """SET or RESET the device; counts one endurance cycle."""
-        self.cycles += 1
-        self.state = state
-        sample = self.params.sample_resistance(
-            np.array(state is ResistiveState.LRS),
-            max(self.cycles, 1), self.rng, mismatch=self.mismatch)
-        self.resistance = float(sample)
-
-    def wear(self, cycles: int) -> None:
-        """Advance the endurance counter without changing the state
-        (models the cycling history of a weight that is reprogrammed many
-        times during chip qualification)."""
-        self.cycles += int(cycles)
-
-    def read(self) -> float:
-        """Non-destructive resistance read."""
-        if self.state is None:
-            raise RuntimeError("device must be formed/programmed before read")
-        return self.resistance
 
 
 def _retention_terms(retention, hours):

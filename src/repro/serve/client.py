@@ -26,7 +26,8 @@ __all__ = ["ServeClient", "ServeHTTPError", "fire"]
 
 class ServeHTTPError(RuntimeError):
     """A non-200 daemon response (the status is the backpressure signal:
-    429 retryable queue-full, 413 oversized, 503 draining)."""
+    429 retryable queue-full, 413 oversized, 503 draining or executor
+    dead)."""
 
     def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")

@@ -295,7 +295,8 @@ class PlanServer:
         handle; raises :class:`UnknownModel` for a bad route,
         :class:`ValueError` for a bad shape or a non-finite value,
         :class:`QueueFull` under backpressure and :class:`ServerClosed`
-        once draining."""
+        once draining or once the executor thread has died (nothing
+        would ever serve the request)."""
         tenant = self._resolve(model)
         try:
             inputs = np.ascontiguousarray(inputs, dtype=tenant.dtype)
@@ -326,6 +327,9 @@ class PlanServer:
             if self._draining:
                 raise ServerClosed("server is draining; not accepting "
                                    "new requests")
+            if not self.executor_alive:
+                raise ServerClosed("executor thread has died; not "
+                                   "accepting new requests")
             if len(inputs) > tenant.batcher.max_queue:
                 self._stat(tenant, "record_reject")
                 raise QueueFull(
@@ -354,6 +358,12 @@ class PlanServer:
     @property
     def draining(self) -> bool:
         return self._draining
+
+    @property
+    def executor_alive(self) -> bool:
+        """False once the executor thread has exited, by a drain or by
+        an error outside a plan evaluation."""
+        return self._executor.is_alive()
 
     # -- stats -----------------------------------------------------------
     def stats_snapshot(self) -> dict:
@@ -491,19 +501,20 @@ class HttpFront:
         GET  /v1/models    the served models and their contracts (JSON)
         GET  /v1/stats     aggregate + per-model counters and latency
                            percentiles (JSON)
-        GET  /healthz      {"status": "ok" | "draining"}
+        GET  /healthz      {"status": "ok" | "draining" | "executor_dead"}
 
     ``"model"`` in the predict body is required only when several models
     are resident; an unknown (or missing-but-required) name is a 400
     client error whose body lists the served models.  Backpressure
     surfaces as 429 (retryable) / 413 (request larger than the queue); a
-    draining daemon answers 503; unknown paths get a structured 404 that
-    lists the routes.  A ``Content-Length`` that is not a non-negative
-    integer is a 400, and one above :attr:`max_body_bytes` a 413, both
-    sent before reading the body and closing the connection.  One thread
-    per in-flight connection (stdlib ``ThreadingHTTPServer``); all of
-    them funnel into the single executor through the per-model admission
-    queues.
+    draining daemon, or one whose executor thread has died, answers 503
+    to predictions and to the health probe; unknown paths get a
+    structured 404 that lists the routes.  A ``Content-Length`` that is
+    not a non-negative integer is a 400, and one above
+    :attr:`max_body_bytes` a 413, both sent before reading the body and
+    closing the connection.  One thread per in-flight connection (stdlib
+    ``ThreadingHTTPServer``); all of them funnel into the single executor
+    through the per-model admission queues.
     """
 
     ROUTES = ("GET /healthz", "GET /v1/models", "GET /v1/stats",
@@ -544,10 +555,12 @@ class HttpFront:
 
             def do_GET(self):
                 if self.path == "/healthz":
-                    draining = front.server.draining
-                    self._reply(503 if draining else 200,
-                                {"status": "draining" if draining
-                                 else "ok"})
+                    if front.server.draining:
+                        self._reply(503, {"status": "draining"})
+                    elif not front.server.executor_alive:
+                        self._reply(503, {"status": "executor_dead"})
+                    else:
+                        self._reply(200, {"status": "ok"})
                 elif self.path == "/v1/models":
                     self._reply(200, {
                         "models": front.server.describe_models()})

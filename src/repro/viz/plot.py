@@ -1,16 +1,14 @@
-"""ASCII rendering of line plots, histograms and sparklines."""
+"""ASCII rendering of line plots."""
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["line_plot", "histogram", "sparkline"]
+__all__ = ["line_plot"]
 
 _MARKERS = "*+ox#@%&"
-_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
 def _finite_pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -123,43 +121,3 @@ def line_plot(series: dict[str, tuple[Sequence, Sequence]],
         lines.insert(len(lines) - 2 - bool(x_label),
                      " " * (margin + 1) + f"[y: {y_label}]")
     return "\n".join(lines)
-
-
-def histogram(values: Sequence, bins: int = 20, width: int = 50,
-              title: str = "", log_counts: bool = False) -> str:
-    """Horizontal-bar histogram of a 1-D sample."""
-    values = np.asarray(values, dtype=float).ravel()
-    values = values[np.isfinite(values)]
-    if values.size == 0:
-        raise ValueError("no finite values to histogram")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(values, bins=bins)
-    display = np.log10(counts + 1) if log_counts else counts.astype(float)
-    peak = display.max() if display.max() > 0 else 1.0
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    for count, disp, lo, hi in zip(counts, display, edges[:-1], edges[1:]):
-        bar = "#" * int(round(disp / peak * width))
-        lines.append(f"{lo:>10.4g} .. {hi:>10.4g} |{bar} {count}")
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence) -> str:
-    """One-line block-character trend, e.g. for per-epoch accuracy."""
-    values = np.asarray(values, dtype=float).ravel()
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        raise ValueError("no finite values")
-    lo, hi = float(finite.min()), float(finite.max())
-    span = hi - lo if hi > lo else 1.0
-    chars = []
-    for v in values:
-        if not math.isfinite(v):
-            chars.append("?")
-            continue
-        level = int(round((v - lo) / span * (len(_BLOCKS) - 2)))
-        chars.append(_BLOCKS[1 + level])
-    return "".join(chars)

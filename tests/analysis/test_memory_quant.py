@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.analysis import (MemoryBreakdown, equivalent_bits, format_bytes,
-                            model_memory, quantization_error, quantize_array,
-                            quantize_model_weights)
+from repro.analysis import (MemoryBreakdown, format_bytes, model_memory,
+                            quantize_array, quantize_model_weights)
 from repro.models import ECGNet, EEGNet, MobileNetConfig, MobileNetV1
 from repro.tensor import Tensor
 
@@ -56,24 +55,8 @@ class TestMemoryBreakdown:
         assert row[0] == "ECG"
         assert "MB" in row[3]
 
-    def test_equivalent_bits(self):
-        real = MemoryBreakdown("m", 100, 100)
-        bnn7 = MemoryBreakdown("m7", 700, 700)
-        ratio = equivalent_bits(real, bnn7)
-        # 1400 binary vs 100*32 + 100 = 3300 mixed bits.
-        assert np.isclose(ratio, 1400 / 3300)
-
 
 class TestQuantization:
-    def test_roundtrip_error_small_at_8_bits(self, rng):
-        values = rng.standard_normal(1000)
-        assert quantization_error(values, 8) < 0.01
-
-    def test_error_grows_as_bits_shrink(self, rng):
-        values = rng.standard_normal(1000)
-        errs = [quantization_error(values, b) for b in (8, 4, 2)]
-        assert errs[0] < errs[1] < errs[2]
-
     def test_quantized_values_on_grid(self, rng):
         values = rng.standard_normal(100)
         q = quantize_array(values, 8)
@@ -105,3 +88,52 @@ class TestQuantization:
         gamma_before = model[1].gamma.data.copy()
         quantize_model_weights(model, bits=4)
         assert np.array_equal(model[1].gamma.data, gamma_before)
+
+
+BIT_WIDTHS = (2, 3, 4, 5, 6, 7, 8)
+
+
+class TestQuantizeArrayGrid:
+    """Grid properties of the post-training quantizer at every width the
+    memory/accuracy trade-off (Table IV) can ask for."""
+
+    @staticmethod
+    def _values(seed=7):
+        return np.random.default_rng(seed).standard_normal(500) * 0.3
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_error_bounded_by_half_lsb(self, bits):
+        values = self._values()
+        lsb = np.abs(values).max() / (2 ** (bits - 1) - 1)
+        error = np.abs(quantize_array(values, bits) - values)
+        assert error.max() <= lsb / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_idempotent(self, bits):
+        once = quantize_array(self._values(), bits)
+        assert np.allclose(quantize_array(once, bits), once, atol=1e-12)
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_sign_symmetric(self, bits):
+        values = self._values()
+        assert np.allclose(quantize_array(-values, bits),
+                           -quantize_array(values, bits), atol=1e-12)
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_peak_is_exact(self, bits):
+        values = self._values()
+        peak = np.argmax(np.abs(values))
+        assert quantize_array(values, bits)[peak] == pytest.approx(
+            values[peak], abs=1e-12)
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_level_count_fits_grid(self, bits):
+        levels = np.unique(quantize_array(self._values(), bits))
+        assert len(levels) <= 2 ** bits - 1
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS[:-1])
+    def test_error_shrinks_with_one_more_bit(self, bits):
+        values = self._values()
+        coarse = np.abs(quantize_array(values, bits) - values).mean()
+        fine = np.abs(quantize_array(values, bits + 1) - values).mean()
+        assert fine < coarse

@@ -1,10 +1,9 @@
-"""Dataset containers, loaders, cross-validation, transforms."""
+"""Dataset containers, cross-validation, transforms."""
 
 import numpy as np
 import pytest
 
-from repro.data import (ArrayDataset, ChannelStandardizer, DataLoader,
-                        GaussianNoiseAugment, Subset, kfold_indices,
+from repro.data import (ArrayDataset, GaussianNoiseAugment,
                         stratified_kfold_indices)
 
 
@@ -23,56 +22,8 @@ class TestArrayDataset:
         ds = ArrayDataset(np.zeros((6, 1)), np.array([0, 1, 2, 0, 1, 2]))
         assert ds.num_classes == 3
 
-    def test_subset(self, rng):
-        ds = ArrayDataset(rng.standard_normal((10, 3)), np.arange(10))
-        sub = Subset(ds, [2, 5, 7])
-        assert len(sub) == 3
-        assert sub[1][1] == 5
-        xs, ys = sub.arrays()
-        assert np.array_equal(ys, [2, 5, 7])
-
-
-class TestDataLoader:
-    def test_batch_shapes_and_coverage(self, rng):
-        ds = ArrayDataset(rng.standard_normal((17, 4)), np.arange(17))
-        loader = DataLoader(ds, batch_size=5)
-        batches = list(loader)
-        assert len(batches) == len(loader) == 4
-        assert batches[0][0].shape == (5, 4)
-        assert batches[-1][0].shape == (2, 4)
-        seen = np.concatenate([y for _, y in batches])
-        assert np.array_equal(np.sort(seen), np.arange(17))
-
-    def test_drop_last(self, rng):
-        ds = ArrayDataset(rng.standard_normal((17, 4)), np.arange(17))
-        loader = DataLoader(ds, batch_size=5, drop_last=True)
-        assert len(loader) == 3
-        assert sum(len(y) for _, y in loader) == 15
-
-    def test_shuffle_is_reproducible(self, rng):
-        ds = ArrayDataset(np.zeros((20, 1)), np.arange(20))
-        l1 = DataLoader(ds, 4, shuffle=True, rng=np.random.default_rng(3))
-        l2 = DataLoader(ds, 4, shuffle=True, rng=np.random.default_rng(3))
-        order1 = np.concatenate([y for _, y in l1])
-        order2 = np.concatenate([y for _, y in l2])
-        assert np.array_equal(order1, order2)
-        assert not np.array_equal(order1, np.arange(20))
-
-    def test_invalid_batch_size(self, rng):
-        ds = ArrayDataset(np.zeros((4, 1)), np.zeros(4))
-        with pytest.raises(ValueError):
-            DataLoader(ds, batch_size=0)
-
 
 class TestKFold:
-    def test_folds_partition_everything(self, rng):
-        splits = kfold_indices(23, 5, rng)
-        all_val = np.concatenate([val for _, val in splits])
-        assert np.array_equal(np.sort(all_val), np.arange(23))
-        for train, val in splits:
-            assert len(np.intersect1d(train, val)) == 0
-            assert len(train) + len(val) == 23
-
     def test_stratified_balance(self, rng):
         labels = np.array([0] * 40 + [1] * 20)
         splits = stratified_kfold_indices(labels, 5, rng)
@@ -82,23 +33,36 @@ class TestKFold:
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            kfold_indices(5, 1)
-        with pytest.raises(ValueError):
             stratified_kfold_indices(np.zeros(3), 5)
+
+    @pytest.mark.parametrize("k", (2, 3, 5, 7))
+    def test_folds_partition_everything(self, rng, k):
+        labels = np.array([0] * 17 + [1] * 9 + [2] * 4)
+        splits = stratified_kfold_indices(labels, k, rng)
+        assert len(splits) == k
+        all_val = np.concatenate([val for _, val in splits])
+        assert np.array_equal(np.sort(all_val), np.arange(len(labels)))
+        for train, val in splits:
+            assert len(np.intersect1d(train, val)) == 0
+            assert len(train) + len(val) == len(labels)
+
+    def test_without_rng_is_deterministic(self):
+        labels = np.arange(20) % 2
+        first = stratified_kfold_indices(labels, 4)
+        second = stratified_kfold_indices(labels, 4)
+        for (t1, v1), (t2, v2) in zip(first, second):
+            assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
+
+    def test_rng_shuffles_fold_membership(self):
+        labels = np.arange(40) % 2
+        plain = stratified_kfold_indices(labels, 4)
+        shuffled = stratified_kfold_indices(labels, 4,
+                                            np.random.default_rng(1))
+        assert not all(np.array_equal(v1, v2) for (_, v1), (_, v2)
+                       in zip(plain, shuffled))
 
 
 class TestTransforms:
-    def test_standardizer(self, rng):
-        data = rng.standard_normal((50, 4, 30)) * 3 + 5
-        std = ChannelStandardizer().fit(data)
-        out = std.transform(data)
-        assert np.allclose(out.mean(axis=(0, 2)), 0, atol=1e-8)
-        assert np.allclose(out.std(axis=(0, 2)), 1, atol=1e-6)
-
-    def test_standardizer_requires_fit(self, rng):
-        with pytest.raises(RuntimeError):
-            ChannelStandardizer().transform(np.zeros((2, 3)))
-
     def test_noise_augment_changes_data(self, rng):
         aug = GaussianNoiseAugment(0.1, rng)
         x = np.zeros((8, 4))
@@ -129,6 +93,14 @@ class TestTransforms:
         aug = GaussianNoiseAugment(0.1, rng)
         out = aug(rng.standard_normal((4, 4)))
         assert out.dtype == np.float64
+
+    def test_reproducible_per_seed_fresh_per_call(self):
+        x = np.zeros((4, 4))
+        a = GaussianNoiseAugment(0.1, np.random.default_rng(2))
+        b = GaussianNoiseAugment(0.1, np.random.default_rng(2))
+        first = a(x)
+        assert np.array_equal(first, b(x))
+        assert not np.array_equal(first, a(x))
 
     def test_integer_batches_upcast_to_float(self, rng):
         # Gaussian noise on integer windows must not truncate to int.

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import (EEG_BANDS, band_power, bandpass_filter,
-                        make_eeg_dataset, notch_filter, relative_band_power,
-                        remove_baseline_wander, resample_signal)
+from repro.data import (EEG_BANDS, band_power, make_eeg_dataset,
+                        notch_filter, remove_baseline_wander)
 from repro.data.eeg import EEGConfig, motor_channel_groups
 
 
@@ -13,59 +12,6 @@ def sine(freq_hz: float, rate_hz: float, seconds: float = 4.0,
          amplitude: float = 1.0) -> np.ndarray:
     t = np.arange(int(seconds * rate_hz)) / rate_hz
     return amplitude * np.sin(2 * np.pi * freq_hz * t)
-
-
-class TestBandpass:
-    def test_passes_in_band_tone(self):
-        x = sine(10.0, 160.0)
-        y = bandpass_filter(x, 8.0, 12.0, 160.0)
-        # Steady-state RMS preserved within a few percent.
-        assert np.std(y[100:-100]) == pytest.approx(np.std(x[100:-100]),
-                                                    rel=0.05)
-
-    def test_rejects_out_of_band_tone(self):
-        x = sine(50.0, 160.0)
-        y = bandpass_filter(x, 8.0, 12.0, 160.0)
-        assert np.std(y) < 0.02 * np.std(x)
-
-    def test_higher_order_rejects_harder(self):
-        x = sine(50.0, 160.0)
-        y4 = bandpass_filter(x, 8.0, 12.0, 160.0, order=4)
-        y8 = bandpass_filter(x, 8.0, 12.0, 160.0, order=8)
-        assert np.std(y8) < np.std(y4)
-
-    def test_separates_mixture(self):
-        x = sine(10.0, 160.0) + sine(45.0, 160.0)
-        y = bandpass_filter(x, 8.0, 12.0, 160.0)
-        target = sine(10.0, 160.0)
-        resid = y[200:-200] - target[200:-200]
-        assert np.std(resid) < 0.1 * np.std(target)
-
-    def test_zero_phase_no_delay(self):
-        # Cross-correlation between input and output of an in-band tone
-        # peaks at zero lag — forward-backward filtering cancels group delay.
-        x = sine(10.0, 160.0)
-        y = bandpass_filter(x, 5.0, 20.0, 160.0)
-        core = slice(100, -100)
-        lags = range(-8, 9)
-        corrs = [np.dot(x[core], np.roll(y, lag)[core]) for lag in lags]
-        assert lags[int(np.argmax(corrs))] == 0
-
-    def test_applies_along_last_axis(self):
-        x = np.stack([sine(10.0, 160.0), sine(50.0, 160.0)])
-        y = bandpass_filter(x, 8.0, 12.0, 160.0)
-        assert y.shape == x.shape
-        assert np.std(y[0]) > 10 * np.std(y[1])
-
-    def test_invalid_band_raises(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            bandpass_filter(np.zeros(100), 10.0, 90.0, 160.0)
-        with pytest.raises(ValueError):
-            bandpass_filter(np.zeros(100), 12.0, 8.0, 160.0)
-
-    def test_invalid_rate_raises(self):
-        with pytest.raises(ValueError, match="positive"):
-            bandpass_filter(np.zeros(100), 1.0, 2.0, 0.0)
 
 
 class TestNotch:
@@ -83,6 +29,27 @@ class TestNotch:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError, match="Nyquist"):
             notch_filter(np.zeros(100), 200.0, 250.0)
+
+    @pytest.mark.parametrize("mains_hz", (50.0, 60.0))
+    def test_kills_either_mains_frequency_under_an_ecg_band_tone(
+            self, mains_hz):
+        tone = sine(15.0, 500.0, seconds=8.0)
+        y = notch_filter(tone + sine(mains_hz, 500.0, seconds=8.0),
+                         mains_hz, 500.0)
+        core = slice(800, -800)
+        assert np.std(y[core] - tone[core]) < 0.05 * np.std(tone[core])
+
+    def test_applies_along_last_axis(self):
+        x = np.stack([sine(50.0, 250.0, seconds=8.0),
+                      sine(10.0, 250.0, seconds=8.0)])
+        y = notch_filter(x, 50.0, 250.0)
+        assert y.shape == x.shape
+        assert np.allclose(y[1], notch_filter(x[1], 50.0, 250.0))
+
+    @pytest.mark.parametrize("rate", (0.0, -250.0))
+    def test_nonpositive_rate_raises(self, rate):
+        with pytest.raises(ValueError, match="sample rate"):
+            notch_filter(np.zeros(100), 50.0, rate)
 
 
 class TestBaselineWander:
@@ -115,14 +82,6 @@ class TestBandPower:
             x1, 8.0, 12.0, 160.0)
         assert ratio == pytest.approx(4.0, rel=0.01)
 
-    def test_relative_power_scale_invariant(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=1600)
-        r1 = relative_band_power(x, 8.0, 12.0, 160.0)
-        r2 = relative_band_power(10.0 * x, 8.0, 12.0, 160.0)
-        assert r1 == pytest.approx(r2, rel=1e-9)
-        assert 0.0 <= r1 <= 1.0 + 1e-9
-
     def test_batch_shape_reduced(self):
         x = np.zeros((5, 3, 800))
         p = band_power(x, 8.0, 12.0, 160.0)
@@ -136,32 +95,6 @@ class TestBandPower:
         bands = list(EEG_BANDS.values())
         for (_, hi), (lo, _) in zip(bands, bands[1:]):
             assert hi == lo
-
-
-class TestResample:
-    def test_length_scales_with_rate(self):
-        x = np.zeros(1000)
-        y = resample_signal(x, 250.0, 160.0)
-        assert y.shape[-1] == 640
-
-    def test_identity_when_rates_equal(self):
-        x = np.arange(100.0)
-        y = resample_signal(x, 160.0, 160.0)
-        assert np.array_equal(x, y)
-        assert y is not x  # a copy, never an alias
-
-    def test_tone_survives_downsample(self):
-        x = sine(10.0, 250.0, seconds=8.0)
-        y = resample_signal(x, 250.0, 160.0)
-        p = band_power(y, 8.0, 12.0, 160.0)
-        p_out = band_power(y, 20.0, 40.0, 160.0)
-        assert p > 100 * p_out
-
-    def test_round_trip_preserves_signal(self):
-        x = sine(10.0, 160.0, seconds=4.0)
-        y = resample_signal(resample_signal(x, 160.0, 250.0), 250.0, 160.0)
-        core = slice(100, -100)
-        assert np.allclose(x[core], y[core], atol=0.02)
 
 
 class TestOnSyntheticEEG:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import (aggregate_scores, aggregate_votes, sliding_windows,
-                        window_count)
+from repro.data import sliding_windows, window_count
 
 
 class TestWindowCount:
@@ -70,54 +69,27 @@ class TestSlidingWindows:
         with pytest.raises(ValueError, match="channels"):
             sliding_windows(np.zeros(20), window=5)
 
+    @pytest.mark.parametrize("window,hop", [(8, 1), (8, 3), (8, 8),
+                                            (5, 11)])
+    def test_windows_are_the_hop_spaced_slices(self, window, hop):
+        recording = np.arange(60.0).reshape(2, 30)
+        windows = sliding_windows(recording, window=window, hop=hop)
+        assert len(windows) == window_count(30, window, hop)
+        for i, w in enumerate(windows):
+            assert np.array_equal(
+                w, recording[:, i * hop:i * hop + window])
+
     def test_overlapping_windows_share_samples(self):
         recording = np.random.default_rng(0).normal(size=(2, 40))
         windows = sliding_windows(recording, window=20, hop=10)
         assert np.array_equal(windows[0][:, 10:], windows[1][:, :10])
 
 
-class TestAggregation:
-    def test_majority_vote(self):
-        assert aggregate_votes([0, 1, 1, 1, 0]) == 1
-
-    def test_tie_breaks_low(self):
-        assert aggregate_votes([0, 1, 1, 0]) == 0
-
-    def test_single_window(self):
-        assert aggregate_votes([2], num_classes=3) == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no window"):
-            aggregate_votes([])
-
-    def test_negative_prediction_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            aggregate_votes([-1, 0])
-
-    def test_score_aggregation_beats_voting_on_near_ties(self):
-        # Three windows weakly favour class 0, one strongly favours 1:
-        # votes say 0, mean scores say 1.
-        scores = np.array([[0.51, 0.49],
-                           [0.51, 0.49],
-                           [0.51, 0.49],
-                           [0.05, 0.95]])
-        vote = aggregate_votes(scores.argmax(axis=1))
-        mean_pred, mean = aggregate_scores(scores)
-        assert vote == 0
-        assert mean_pred == 1
-        assert mean[1] > mean[0]
-
-    def test_score_shape_validation(self):
-        with pytest.raises(ValueError, match="n_windows"):
-            aggregate_scores(np.zeros(5))
-        with pytest.raises(ValueError, match="n_windows"):
-            aggregate_scores(np.zeros((0, 2)))
-
-
 class TestEndToEndWindowedInference:
     def test_continuous_ecg_stream_classified_by_windows(self):
         """Cut a long synthetic recording into model-sized windows, classify
-        each on the trained model, aggregate — the deployment loop."""
+        each on the trained model, average the window scores — the
+        deployment loop."""
         from repro.data import ECGConfig, make_ecg_dataset
         from repro.experiments import (TrainConfig, predict_scores,
                                        train_model)
@@ -141,7 +113,7 @@ class TestEndToEndWindowedInference:
             stream = np.concatenate(list(trials), axis=-1)
             windows = sliding_windows(stream, window=300, hop=150)
             scores = predict_scores(model, windows)
-            pred, _ = aggregate_scores(scores)
+            pred = int(scores.mean(axis=0).argmax())
             correct += int(pred == cls)
             total += 1
         assert correct == total  # aggregation denoises single-window errors

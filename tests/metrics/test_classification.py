@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import (accuracy, balanced_accuracy, confusion_matrix,
-                           precision_recall_f1, sensitivity_specificity,
-                           top_k_accuracy)
+                           precision_recall_f1, sensitivity_specificity)
 
 
 class TestAccuracy:
@@ -140,31 +139,28 @@ class TestSensitivitySpecificity:
         assert sens == pytest.approx(0.5)
 
 
-class TestTopKAccuracy:
-    def test_top1_equals_argmax_accuracy(self):
-        scores = np.array([[0.1, 0.9], [0.8, 0.2], [0.4, 0.6]])
-        y_true = [1, 0, 0]
-        top1 = top_k_accuracy(y_true, scores, k=1)
-        assert top1 == pytest.approx(accuracy(y_true, scores.argmax(axis=1)))
+LABEL_METRICS = {
+    "confusion_matrix": confusion_matrix,
+    "balanced_accuracy": balanced_accuracy,
+    "precision_recall_f1": precision_recall_f1,
+    "sensitivity_specificity": sensitivity_specificity,
+}
 
-    def test_top_k_grows_with_k(self):
-        rng = np.random.default_rng(1)
-        scores = rng.normal(size=(50, 10))
-        y_true = rng.integers(0, 10, 50)
-        accs = [top_k_accuracy(y_true, scores, k=k) for k in (1, 3, 5, 10)]
-        assert accs == sorted(accs)
-        assert accs[-1] == 1.0  # k = num_classes catches everything
 
-    def test_k_out_of_range_raises(self):
-        with pytest.raises(ValueError, match="out of range"):
-            top_k_accuracy([0], np.ones((1, 3)), k=4)
+class TestLabelValidation:
+    """Every metric rejects the label arrays ``accuracy`` rejects."""
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="scores must be"):
-            top_k_accuracy([0, 1], np.ones((3, 2)), k=1)
+    @pytest.mark.parametrize("name", sorted(LABEL_METRICS))
+    def test_empty_raises(self, name):
+        with pytest.raises(ValueError, match="empty"):
+            LABEL_METRICS[name]([], [])
 
-    def test_tie_counts_within_k(self):
-        # All scores equal: zero classes score strictly higher, so the true
-        # class is within any top-k.
-        scores = np.zeros((4, 5))
-        assert top_k_accuracy([0, 1, 2, 3], scores, k=1) == 1.0
+    @pytest.mark.parametrize("name", sorted(LABEL_METRICS))
+    def test_length_mismatch_raises(self, name):
+        with pytest.raises(ValueError, match="length"):
+            LABEL_METRICS[name]([0, 1, 1], [0, 1])
+
+    @pytest.mark.parametrize("name", sorted(LABEL_METRICS))
+    def test_negative_labels_raise(self, name):
+        with pytest.raises(ValueError, match="non-negative"):
+            LABEL_METRICS[name]([0, -1], [0, 1])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import (DEFAULT_LN_MARGIN, RramReadNoise, flip_probability,
-                      rram_read_noise, set_read_noise)
+from repro.nn import (DEFAULT_LN_MARGIN, flip_probability, rram_read_noise,
+                      set_read_noise)
 from repro.tensor import Tensor
 
 
@@ -75,32 +75,6 @@ class TestRramReadNoise:
         assert np.array_equal(a.data, b.data)
 
 
-class TestRramReadNoiseModule:
-    def test_identity_in_eval_mode(self, rng):
-        layer = RramReadNoise(64, 1.5, rng=rng)
-        layer.eval()
-        x = Tensor(rng.standard_normal((2, 6)))
-        assert layer(x) is x
-
-    def test_perturbs_in_train_mode(self, rng):
-        layer = RramReadNoise(64, 1.5, rng=rng)
-        layer.train()
-        x = Tensor(rng.standard_normal((2, 6)))
-        assert not np.allclose(layer(x).data, x.data)
-
-    def test_fresh_draw_per_forward(self, rng):
-        layer = RramReadNoise(64, 1.5, rng=rng)
-        layer.train()
-        x = Tensor(np.ones((2, 6)))
-        assert not np.array_equal(layer(x).data, layer(x).data)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="fan_in"):
-            RramReadNoise(0, 1.0)
-        with pytest.raises(ValueError, match="sigma"):
-            RramReadNoise(8, -0.5)
-
-
 class TestBinaryLayerKnob:
     def test_layers_default_to_noise_free(self, rng):
         layer = nn.BinaryLinear(8, 4, rng=rng)
@@ -122,6 +96,14 @@ class TestBinaryLayerKnob:
         layer.noise_sigma = 1.5
         layer.eval()
         assert np.array_equal(layer(x).data, clean)
+
+    def test_armed_layer_draws_fresh_noise_each_forward(self, rng):
+        layer = nn.BinaryLinear(8, 4, rng=rng)
+        layer.noise_sigma = 1.5
+        layer.noise_rng = np.random.default_rng(0)
+        layer.train()
+        x = Tensor(rng.standard_normal((3, 8)))
+        assert not np.array_equal(layer(x).data, layer(x).data)
 
     @pytest.mark.parametrize("make,shape", [
         (lambda rng: nn.BinaryConv1d(3, 4, 5, rng=rng), (2, 3, 16)),
@@ -193,3 +175,17 @@ class TestSetReadNoise:
         (model(x) ** 2).sum().backward()
         w = model._layers[0].weight
         assert w.grad is not None and w.grad.shape == w.data.shape
+
+
+class TestReadNoiseMargin:
+    def test_wider_margin_flips_less(self):
+        assert flip_probability(1.5, margin=4.0) < flip_probability(
+            1.5, margin=2.0)
+
+    def test_wider_margin_perturbs_less(self):
+        x = Tensor(np.zeros(20_000))
+        narrow = rram_read_noise(x, 64, 1.5, np.random.default_rng(0),
+                                 margin=2.0)
+        wide = rram_read_noise(x, 64, 1.5, np.random.default_rng(0),
+                               margin=4.0)
+        assert wide.data.std() < narrow.data.std()

@@ -1,15 +1,20 @@
-"""Tests for the multi-bit quantization stack (repro.nn.quant)."""
+"""Tests for the multi-bit integer deployment kernel (repro.nn.quant)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (ActivationQuantizer, IntegerDense, QuantConv1d,
-                      QuantConv2d, QuantLinear, deploy_dense_int,
-                      fake_quantize, quant_scale)
+from repro.nn import deploy_dense_int, quant_scale
 from repro.nn.linear import Linear
-from repro.tensor import Tensor
+
+
+def _fake_quant_weight(layer, bits):
+    """Float reference: the weights quantize-dequantized on the grid."""
+    q_max = 2 ** (bits - 1) - 1
+    scale = quant_scale(layer.weight.data, bits)
+    return np.clip(np.round(layer.weight.data / scale), -q_max,
+                   q_max) * scale
 
 
 class TestQuantScale:
@@ -31,171 +36,10 @@ class TestQuantScale:
             quant_scale(np.ones(3), bits=17)
 
 
-class TestFakeQuantize:
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(4, 7)))
-        scale = quant_scale(x.data, 8)
-        once = fake_quantize(x, scale, 8)
-        twice = fake_quantize(once, scale, 8)
-        assert np.array_equal(once.data, twice.data)
-
-    def test_error_bounded_by_half_lsb(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.uniform(-2, 2, size=100))
-        scale = quant_scale(x.data, 8)
-        q = fake_quantize(x, scale, 8)
-        assert np.all(np.abs(q.data - x.data) <= scale / 2 + 1e-12)
-
-    def test_values_on_grid(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=50))
-        scale = quant_scale(x.data, 4)
-        q = fake_quantize(x, scale, 4)
-        grid_index = q.data / scale
-        assert np.allclose(grid_index, np.round(grid_index))
-        assert np.abs(grid_index).max() <= 7  # 2^(4-1) - 1
-
-    def test_ste_gradient_masks_out_of_range(self):
-        x = Tensor(np.array([0.5, 10.0, -10.0]), requires_grad=True)
-        q = fake_quantize(x, scale=0.1, bits=4)  # limit = 0.1 * 7 = 0.7
-        q.sum().backward()
-        assert x.grad.tolist() == [1.0, 0.0, 0.0]
-
-    def test_more_bits_less_error(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=1000))
-        errs = []
-        for bits in (2, 4, 8):
-            scale = quant_scale(x.data, bits)
-            q = fake_quantize(x, scale, bits)
-            errs.append(float(np.abs(q.data - x.data).mean()))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_nonpositive_scale_raises(self):
-        with pytest.raises(ValueError, match="scale"):
-            fake_quantize(Tensor(np.ones(3)), 0.0, 8)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 12))
-    def test_high_bits_nearly_exact(self, bits):
-        rng = np.random.default_rng(bits)
-        x = Tensor(rng.normal(size=64))
-        scale = quant_scale(x.data, bits)
-        q = fake_quantize(x, scale, bits)
-        q_max = 2 ** (bits - 1) - 1
-        assert np.abs(q.data - x.data).max() <= scale / 2 + 1e-12
-        assert np.abs(q.data).max() <= scale * q_max + 1e-12
-
-
-class TestQuantLayers:
-    def test_linear_forward_matches_manual(self):
-        rng = np.random.default_rng(4)
-        layer = QuantLinear(6, 3, bits=8, rng=rng)
-        x = Tensor(rng.normal(size=(5, 6)))
-        out = layer(x)
-        scale = quant_scale(layer.weight.data, 8)
-        w_q = np.clip(np.round(layer.weight.data / scale), -127, 127) * scale
-        expected = x.data @ w_q.T + layer.bias.data
-        assert np.allclose(out.data, expected)
-
-    def test_linear_trains(self):
-        """A QuantLinear must fit a simple linear target via its STE."""
-        rng = np.random.default_rng(5)
-        layer = QuantLinear(4, 1, bits=8, rng=rng)
-        w_true = np.array([[1.0, -2.0, 0.5, 3.0]])
-        x = rng.normal(size=(256, 4))
-        y = x @ w_true.T
-        for _ in range(300):
-            pred = layer(Tensor(x))
-            loss = ((pred - Tensor(y)) ** 2).mean()
-            layer.zero_grad()
-            loss.backward()
-            for p in layer.parameters():
-                p.data -= 0.05 * p.grad
-        final = ((layer(Tensor(x)).data - y) ** 2).mean()
-        assert final < 1e-3
-
-    def test_conv1d_matches_real_conv_at_high_bits(self):
-        from repro.nn import Conv1d
-        rng = np.random.default_rng(6)
-        qconv = QuantConv1d(3, 5, kernel_size=4, bits=16, rng=rng)
-        conv = Conv1d(3, 5, kernel_size=4, bias=False,
-                      rng=np.random.default_rng(6))
-        conv.weight.data = qconv.weight.data.copy()
-        x = Tensor(rng.normal(size=(2, 3, 20)))
-        assert np.allclose(qconv(x).data, conv(x).data, atol=1e-3)
-
-    def test_conv2d_shape(self):
-        rng = np.random.default_rng(7)
-        conv = QuantConv2d(2, 4, kernel_size=3, padding=1, bits=8, rng=rng)
-        x = Tensor(rng.normal(size=(2, 2, 8, 8)))
-        assert conv(x).shape == (2, 4, 8, 8)
-
-    def test_weight_grid_size_respected(self):
-        rng = np.random.default_rng(8)
-        layer = QuantLinear(10, 2, bits=3, rng=rng)
-        q = layer.quantized_weight().data
-        scale = quant_scale(layer.weight.data, 3)
-        levels = np.unique(np.round(q / scale).astype(int))
-        assert levels.min() >= -3 and levels.max() <= 3  # 2^(3-1)-1 = 3
-
-    def test_repr_mentions_bits(self):
-        assert "bits=8" in repr(QuantLinear(3, 2))
-        assert "bits=4" in repr(QuantConv1d(1, 1, 3, bits=4))
-        assert "bits=8" in repr(QuantConv2d(1, 1, 3))
-
-
-class TestActivationQuantizer:
-    def test_observes_range_in_training(self):
-        aq = ActivationQuantizer(bits=8, momentum=0.0)
-        x = Tensor(np.array([[0.5, -2.0, 1.0]]))
-        aq.train()
-        aq(x)
-        assert float(aq.running_peak) == pytest.approx(2.0)
-
-    def test_frozen_in_eval(self):
-        aq = ActivationQuantizer(bits=8, momentum=0.0)
-        aq.train()
-        aq(Tensor(np.array([1.0])))
-        aq.eval()
-        aq(Tensor(np.array([100.0])))
-        assert float(aq.running_peak) == pytest.approx(1.0)
-
-    def test_eval_clips_to_calibrated_range(self):
-        aq = ActivationQuantizer(bits=8, momentum=0.0)
-        aq.train()
-        aq(Tensor(np.array([1.0])))
-        aq.eval()
-        out = aq(Tensor(np.array([100.0])))
-        assert out.data[0] <= 1.0 + 1e-9
-
-    def test_ema_update(self):
-        aq = ActivationQuantizer(bits=8, momentum=0.5)
-        aq.train()
-        aq(Tensor(np.array([4.0])))   # first batch initializes to 4
-        aq(Tensor(np.array([8.0])))   # EMA: 0.5*4 + 0.5*8 = 6
-        assert float(aq.running_peak) == pytest.approx(6.0)
-
-    def test_state_dict_round_trip(self):
-        aq = ActivationQuantizer(bits=8, momentum=0.0)
-        aq.train()
-        aq(Tensor(np.array([3.0])))
-        state = aq.state_dict()
-        fresh = ActivationQuantizer(bits=8, momentum=0.0)
-        fresh.load_state_dict(state)
-        assert float(fresh.running_peak) == pytest.approx(3.0)
-        assert bool(fresh.initialized)
-
-    def test_bad_momentum_raises(self):
-        with pytest.raises(ValueError, match="momentum"):
-            ActivationQuantizer(momentum=1.0)
-
-
 class TestIntegerDeployment:
     def _calibrated_pair(self, bits=8, seed=9):
         rng = np.random.default_rng(seed)
-        layer = QuantLinear(8, 4, bits=bits, rng=np.random.default_rng(seed))
+        layer = Linear(8, 4, rng=np.random.default_rng(seed))
         x = rng.normal(size=(16, 8))
         x_scale = quant_scale(x, bits)
         return layer, x, x_scale
@@ -206,7 +50,7 @@ class TestIntegerDeployment:
         deployed = deploy_dense_int(layer, x_scale, bits=8)
         got = deployed.forward(x)
         # Reference: quantize both operands in float, then matmul.
-        w_q = layer.quantized_weight().data
+        w_q = _fake_quant_weight(layer, 8)
         x_q = np.clip(np.round(x / x_scale), -127, 127) * x_scale
         expected = x_q @ w_q.T + layer.bias.data
         assert np.allclose(got, expected, atol=1e-10)
@@ -250,11 +94,75 @@ class TestIntegerDeployment:
     def test_exactness_property(self, bits, seed):
         """For any bit width and weights: deployment == fake-quant math."""
         rng = np.random.default_rng(seed)
-        layer = QuantLinear(5, 3, bits=bits, bias=False, rng=rng)
+        layer = Linear(5, 3, bias=False, rng=rng)
         x = rng.normal(size=(3, 5))
         x_scale = quant_scale(x, bits)
         deployed = deploy_dense_int(layer, x_scale, bits=bits)
         q_max = 2 ** (bits - 1) - 1
-        w_q = layer.quantized_weight().data
+        w_q = _fake_quant_weight(layer, bits)
         x_q = np.clip(np.round(x / x_scale), -q_max, q_max) * x_scale
         assert np.allclose(deployed.forward(x), x_q @ w_q.T, atol=1e-10)
+
+
+INT_BIT_WIDTHS = (2, 4, 8, 12, 16)
+
+
+class TestIntegerKernelGrid:
+    """The integer kernel's quantizers at the edges of the supported
+    widths, [2, 16]."""
+
+    @staticmethod
+    def _deployed(bits, seed=3):
+        rng = np.random.default_rng(seed)
+        layer = Linear(8, 4, rng=rng)
+        x = rng.normal(size=(32, 8))
+        return deploy_dense_int(layer, quant_scale(x, bits), bits=bits), x
+
+    @pytest.mark.parametrize("bits", INT_BIT_WIDTHS)
+    def test_input_quantizer_error_bounded_by_half_lsb(self, bits):
+        deployed, x = self._deployed(bits)
+        error = np.abs(deployed.quantize_input(x) * deployed.x_scale - x)
+        assert error.max() <= deployed.x_scale / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", INT_BIT_WIDTHS)
+    def test_input_quantizer_saturates_at_grid_edge(self, bits):
+        deployed, x = self._deployed(bits)
+        q_max = 2 ** (bits - 1) - 1
+        x_q = deployed.quantize_input(np.array([[1e6, -1e6] * 4]))
+        assert x_q.tolist() == [[q_max, -q_max] * 4]
+
+    @pytest.mark.parametrize("bits", INT_BIT_WIDTHS)
+    def test_weight_peak_lands_on_grid_edge(self, bits):
+        deployed, _ = self._deployed(bits)
+        assert np.abs(deployed.weight_q).max() == 2 ** (bits - 1) - 1
+
+    @pytest.mark.parametrize("bits", INT_BIT_WIDTHS)
+    def test_dequantized_weights_within_half_lsb(self, bits):
+        rng = np.random.default_rng(3)
+        layer = Linear(8, 4, rng=rng)
+        deployed = deploy_dense_int(layer, 1.0, bits=bits)
+        error = np.abs(deployed.weight_q * deployed.w_scale
+                       - layer.weight.data)
+        assert error.max() <= deployed.w_scale / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", (0, 1, 17, 32))
+    def test_out_of_range_width_rejected(self, bits):
+        layer = Linear(4, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="bits"):
+            deploy_dense_int(layer, 1.0, bits=bits)
+
+    def test_bias_free_layer_deploys_without_bias(self):
+        layer = Linear(4, 2, bias=False, rng=np.random.default_rng(0))
+        deployed = deploy_dense_int(layer, 1.0)
+        assert deployed.bias is None
+        assert deployed.forward(np.ones((1, 4))).shape == (1, 2)
+
+    def test_output_error_shrinks_with_bits(self):
+        rng = np.random.default_rng(4)
+        layer = Linear(16, 4, rng=rng)
+        x = rng.normal(size=(64, 16))
+        ref = x @ layer.weight.data.T + layer.bias.data
+        errors = [np.abs(deploy_dense_int(layer, quant_scale(x, bits),
+                                          bits=bits).forward(x) - ref).mean()
+                  for bits in (4, 8, 12)]
+        assert errors[0] > errors[1] > errors[2]

@@ -1,11 +1,11 @@
-"""SGD, Adam, schedulers, gradient clipping."""
+"""SGD and Adam."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
+from repro.optim import SGD, Adam
 from repro.tensor import Tensor
 
 
@@ -105,45 +105,3 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([p], betas=(1.0, 0.9))
 
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert np.allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, total_epochs=10)
-        for _ in range(10):
-            last = sched.step()
-        assert np.isclose(last, 0.0, atol=1e-12)
-
-    def test_validation(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, total_epochs=0)
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([3.0])
-        norm = clip_grad_norm([p], max_norm=10.0)
-        assert np.isclose(norm, 3.0)
-        assert np.allclose(p.grad, [3.0])
-
-    def test_clips_to_max_norm(self):
-        p1 = Parameter(np.array([1.0]))
-        p2 = Parameter(np.array([1.0]))
-        p1.grad = np.array([3.0])
-        p2.grad = np.array([4.0])
-        clip_grad_norm([p1, p2], max_norm=1.0)
-        total = np.sqrt(p1.grad ** 2 + p2.grad ** 2)
-        assert np.isclose(total, 1.0)

@@ -7,7 +7,7 @@ from repro.nn import (BatchNorm2d, BinaryConv2d, BinaryDepthwiseConv2d,
                       Conv2d)
 from repro.nn.binary import from_bits, to_bits
 from repro.rram import (AcceleratorConfig, fold_conv2d_batchnorm_sign,
-                        fold_depthwise2d_batchnorm_sign, max_pool_bits_2d)
+                        fold_depthwise2d_batchnorm_sign)
 from repro.runtime import RRAMBackend
 from repro.tensor import Tensor
 
@@ -169,33 +169,6 @@ class TestInMemoryConv2dLayer:
         bits = rng.integers(0, 2, size=(1, 4, 8, 8)).astype(np.uint8)
         assert np.array_equal(layer.forward_bits(bits),
                               folded.forward_bits(bits))
-
-
-class TestMaxPoolBits2d:
-    def test_is_logical_or(self):
-        bits = np.zeros((1, 1, 4, 4), dtype=np.uint8)
-        bits[0, 0, 1, 1] = 1
-        out = max_pool_bits_2d(bits, kernel=2)
-        assert out.shape == (1, 1, 2, 2)
-        assert out[0, 0].tolist() == [[1, 0], [0, 0]]
-
-    def test_matches_float_maxpool_on_pm1(self):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, size=(2, 3, 8, 8)).astype(np.uint8)
-        pm1 = from_bits(bits)
-        # Float max-pool over ±1 then re-binarize == bit OR.
-        n, c, h, w = pm1.shape
-        pooled = pm1.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
-        assert np.array_equal(max_pool_bits_2d(bits, 2), to_bits(pooled))
-
-    def test_stride_different_from_kernel(self):
-        bits = np.arange(16).reshape(1, 1, 4, 4) % 2
-        out = max_pool_bits_2d(bits.astype(np.uint8), kernel=2, stride=1)
-        assert out.shape == (1, 1, 3, 3)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="expected"):
-            max_pool_bits_2d(np.zeros((2, 3, 4), dtype=np.uint8), 2)
 
 
 class TestMobilenetBlockDeployment:

@@ -1,11 +1,10 @@
-"""Device statistics, sense amplifiers, and cells."""
+"""Device statistics and sense amplifiers."""
 
 import numpy as np
 import pytest
 
-from repro.rram import (DeviceParameters, OneT1RCell, PrechargeSenseAmplifier,
-                        ResistiveState, RRAMDevice, SenseParameters,
-                        TwoT2RCell, XnorPCSA, analytic_ber_1t1r,
+from repro.rram import (DeviceParameters, PrechargeSenseAmplifier,
+                        SenseParameters, XnorPCSA, analytic_ber_1t1r,
                         analytic_ber_2t2r)
 
 
@@ -37,6 +36,56 @@ class TestDeviceParameters:
         assert worn < fresh
 
 
+class TestSampleResistance:
+    """The vectorized device draw the arrays program through."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6)])
+    def test_shape_follows_state(self, rng, shape):
+        state = rng.random(shape) < 0.5
+        assert DeviceParameters().sample_resistance(
+            state, 1e8, rng).shape == shape
+
+    def test_deterministic_per_seed(self):
+        p = DeviceParameters()
+        state = np.arange(32) % 2 == 0
+        a = p.sample_resistance(state, 3e8, np.random.default_rng(4))
+        b = p.sample_resistance(state, 3e8, np.random.default_rng(4))
+        assert np.array_equal(a, b)
+
+    def test_states_sit_either_side_of_reference(self, rng):
+        p = DeviceParameters()
+        state = np.arange(20000) % 2 == 0
+        r = p.sample_resistance(state, 1e8, rng)
+        # Fresh devices: the 0.4 ln-unit spread leaves the tails past the
+        # 1.5 ln-unit half-window well under one percent.
+        assert np.mean(r[state] < p.reference_resistance) > 0.99
+        assert np.mean(r[~state] > p.reference_resistance) > 0.99
+
+    def test_mismatch_scales_log_spread(self, rng):
+        p = DeviceParameters()
+        state = np.zeros(40000, dtype=bool)
+        plain = np.log(p.sample_resistance(state, 1e8, rng)).std()
+        skewed = np.log(p.sample_resistance(state, 1e8, rng,
+                                            mismatch=1.5)).std()
+        assert skewed / plain == pytest.approx(1.5, rel=0.03)
+
+    def test_wear_widens_spread_not_median(self, rng):
+        p = DeviceParameters()
+        state = np.ones(40000, dtype=bool)
+        fresh = np.log(p.sample_resistance(state, 1e8, rng))
+        worn = np.log(p.sample_resistance(state, 1e9, rng))
+        assert worn.std() / fresh.std() == pytest.approx(
+            p.sigma_lrs(1e9) / p.sigma_lrs0, rel=0.03)
+        assert np.median(worn) == pytest.approx(np.median(fresh), abs=0.02)
+
+    def test_per_device_cycle_counts_broadcast(self, rng):
+        p = DeviceParameters()
+        cycles = np.repeat([1e8, 1e10], 20000)
+        r = np.log(p.sample_resistance(np.zeros(40000, dtype=bool),
+                                       cycles, rng))
+        assert r[20000:].std() > 1.5 * r[:20000].std()
+
+
 class TestAnalyticBER:
     def test_monotonic_in_cycles(self):
         p = DeviceParameters()
@@ -59,31 +108,6 @@ class TestAnalyticBER:
         bl = analytic_ber_1t1r(p, 3e8)
         blb = analytic_ber_1t1r(p, 3e8, mismatch=p.device_mismatch)
         assert blb > bl
-
-
-class TestRRAMDevice:
-    def test_program_read_cycle_counting(self, rng):
-        dev = RRAMDevice(rng=rng)
-        dev.program(ResistiveState.LRS)
-        dev.program(ResistiveState.HRS)
-        assert dev.cycles == 2
-        assert dev.read() > dev.params.median_lrs   # HRS read
-
-    def test_read_before_program_raises(self, rng):
-        with pytest.raises(RuntimeError):
-            RRAMDevice(rng=rng).read()
-
-    def test_wear_advances_without_state_change(self, rng):
-        dev = RRAMDevice(rng=rng)
-        dev.program(ResistiveState.LRS)
-        dev.wear(1000)
-        assert dev.cycles == 1001
-        assert dev.state is ResistiveState.LRS
-
-    def test_form_leaves_lrs(self, rng):
-        dev = RRAMDevice(rng=rng)
-        dev.form()
-        assert dev.state is ResistiveState.LRS
 
 
 class TestSenseAmplifiers:
@@ -115,30 +139,3 @@ class TestSenseAmplifiers:
         assert amp.sense_xnor(*r_plus, np.array(0)) == 0
         assert amp.sense_xnor(*r_minus, np.array(1)) == 0
         assert amp.sense_xnor(*r_minus, np.array(0)) == 1
-
-
-class TestCells:
-    def test_2t2r_roundtrip_fresh_devices(self, rng):
-        cell = TwoT2RCell(rng=rng)
-        for bit in (0, 1, 1, 0):
-            cell.program(bit)
-            assert cell.read() == bit
-
-    def test_1t1r_roundtrip_fresh_devices(self, rng):
-        cell = OneT1RCell(rng=rng)
-        for bit in (1, 0, 1):
-            cell.program(bit)
-            assert cell.read() == bit
-
-    def test_2t2r_single_ended_reads_are_complementary(self, rng):
-        cell = TwoT2RCell(rng=rng)
-        cell.program(1)
-        bl, blb = cell.read_devices_single_ended()
-        assert (bl, blb) == (1, 0)
-
-    def test_2t2r_programs_both_devices(self, rng):
-        cell = TwoT2RCell(rng=rng)
-        cell.program(1)
-        assert cell.bl.state is ResistiveState.LRS
-        assert cell.blb.state is ResistiveState.HRS
-        assert cell.cycles == 1

@@ -8,6 +8,8 @@ drain; ``window=0`` serves each submission immediately.
 
 import json
 import pathlib
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -259,6 +261,49 @@ class TestHttpFront:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(front.url + "/healthz")
             assert info.value.code == 503
+        finally:
+            front.shutdown(drain=True)
+
+    def test_dead_executor_fails_probe_and_requests_at_once(
+            self, monkeypatch):
+        """An executor killed outside a plan evaluation (here a raising
+        ``batcher.flush``) must not pass for healthy: the probe answers a
+        distinct 503 and new requests get a prompt 503, not a 504 after
+        ``request_timeout``."""
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        server = _server(window=0.0)
+
+        def broken_flush(now):
+            raise RuntimeError("batcher corrupted")
+
+        monkeypatch.setattr(server._batcher, "flush", broken_flush)
+        front = HttpFront(server, port=0, request_timeout=30.0).start()
+        try:
+            server.submit(np.ones((1, 3)))               # kills the executor
+            deadline = time.monotonic() + 10.0
+            while not uncaught and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [str(args.exc_value) for args in uncaught] == \
+                ["batcher corrupted"]
+            uncaught[0].thread.join(10.0)
+
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(front.url + "/healthz")
+            assert info.value.code == 503
+            assert json.loads(info.value.read()) == {
+                "status": "executor_dead"}
+
+            client = ServeClient(front.url)
+            start = time.monotonic()
+            with pytest.raises(ServeHTTPError) as info:
+                client.predict(np.ones((1, 3)))
+            assert info.value.status == 503
+            assert time.monotonic() - start < 5.0
+            client.close()
+            with pytest.raises(ServerClosed, match="executor"):
+                server.submit(np.ones((1, 3)))
+            assert not server.executor_alive
         finally:
             front.shutdown(drain=True)
 

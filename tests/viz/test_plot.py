@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import histogram, line_plot, sparkline
+from repro.viz import line_plot
 
 
 class TestLinePlot:
@@ -84,57 +84,28 @@ class TestLinePlot:
         marker_rows = [positions[c] for c in cols]
         assert marker_rows == sorted(marker_rows, reverse=True)
 
+    def test_log_x_axis_ticks_in_original_units(self):
+        # Fig. 4's cycle axis spans decades.
+        out = line_plot({"ber": ([1e6, 1e8], [1.0, 2.0])}, x_log=True)
+        assert "1e+06" in out and "1e+08" in out
 
-class TestHistogram:
-    def test_counts_sum_preserved(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=500)
-        out = histogram(values, bins=10)
-        counts = [int(line.rsplit(" ", 1)[1]) for line in out.split("\n")]
-        assert sum(counts) == 500
+    def test_log_x_axis_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="log x-axis"):
+            line_plot({"a": ([0.0, 1.0], [1.0, 2.0])}, x_log=True)
 
-    def test_title_rendered(self):
-        out = histogram([1, 2, 3], bins=3, title="resistances")
-        assert "resistances" in out
+    def test_markers_cycle_past_the_marker_set(self):
+        series = {f"s{i}": ([0, 1], [i, i]) for i in range(9)}
+        legend = line_plot(series).split("\n")[-1]
+        assert "* s0" in legend and "* s8" in legend
 
-    def test_peak_bin_longest_bar(self):
-        values = [1.0] * 10 + [2.0]
-        out = histogram(values, bins=2)
-        lines = out.split("\n")
-        assert lines[0].count("#") > lines[1].count("#")
+    def test_series_without_finite_points_left_out_of_legend(self):
+        out = line_plot({"kept": ([1, 2], [1.0, 2.0]),
+                         "gone": ([1.0], [np.nan])})
+        assert "kept" in out and "gone" not in out
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            histogram([np.nan, np.inf])
-
-    def test_bad_bins_raises(self):
-        with pytest.raises(ValueError, match="bins"):
-            histogram([1.0], bins=0)
-
-    def test_log_counts_compresses(self):
-        values = [1.0] * 1000 + [2.0]
-        linear = histogram(values, bins=2)
-        log = histogram(values, bins=2, log_counts=True)
-        small_bar_linear = linear.split("\n")[1].count("#")
-        small_bar_log = log.split("\n")[1].count("#")
-        assert small_bar_log > small_bar_linear
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_blocks(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert list(line) == sorted(line)
-
-    def test_constant_input(self):
-        line = sparkline([5, 5, 5])
-        assert len(set(line)) == 1
-
-    def test_nan_shown_as_question_mark(self):
-        assert "?" in sparkline([1.0, np.nan, 2.0])
-
-    def test_all_nan_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            sparkline([np.nan])
+    def test_later_series_drawn_on_top(self):
+        out = line_plot({"under": ([0, 1], [0, 1]),
+                         "over": ([0, 1], [0, 1])})
+        body = [l.split("|", 1)[1] for l in out.split("\n") if "|" in l]
+        assert not any("*" in row for row in body)
+        assert any("+" in row for row in body)
