@@ -56,6 +56,19 @@ def _eeg_workload(batch: int):
     return model, inputs
 
 
+def _legacy_tile_popcounts(tile, chunk: np.ndarray,
+                           valid: int) -> np.ndarray:
+    """One tile's pre-refactor word-line scan: a fresh ``(N, rows, cols)``
+    offset tensor from the tile's own stream, then the agreeing cells
+    over the first ``valid`` columns counted per word line."""
+    n = chunk.shape[0]
+    offsets = tile.sense.offset(tile.rng, (n, tile.n_rows, tile.n_cols))
+    tile.sense_ops += offsets.size
+    weight_read = (tile._sense_margin()[None] + offsets) > 0
+    agree = weight_read[:, :, :valid] == (chunk[:, None, :valid] != 0)
+    return agree.sum(axis=2, dtype=np.int64)
+
+
 def _legacy_popcounts(controller, x_bits: np.ndarray) -> np.ndarray:
     """The pre-refactor read path, verbatim: per-tile offset tensors and
     XNOR reductions under a grid_rows x grid_cols Python loop."""
@@ -68,8 +81,8 @@ def _legacy_popcounts(controller, x_bits: np.ndarray) -> np.ndarray:
         chunk = np.zeros((n, tc), dtype=np.uint8)
         chunk[:, :valid] = x_bits[:, j * tc:j * tc + valid]
         for i in range(controller.grid_rows):
-            counts[:, i * tr:(i + 1) * tr] += \
-                controller.tiles[i][j].xnor_popcounts(chunk, valid)
+            counts[:, i * tr:(i + 1) * tr] += _legacy_tile_popcounts(
+                controller.tiles[i][j], chunk, valid)
     return counts[:, :controller.out_features]
 
 

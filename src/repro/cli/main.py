@@ -219,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte-Carlo read trials per point, "
                                 "evaluated trial-batched on deterministic "
                                 "per-trial RNG streams (default 1)")
-    sweep_cmd.add_argument("--trial-chunk", type=int, default=None,
-                           help="trials per vectorized window (bounds "
-                                "peak memory; never changes results)")
     sweep_cmd.add_argument("--cache-stats", action="store_true",
                            help="report the programmed-plan cache "
                                 "hit/miss counters after the sweep "
@@ -826,7 +823,6 @@ def _cmd_train(model_name: str, mode_name: str = "full_binary",
 
 
 def _cmd_sweep(workload: str, jobs: int, out: str | None, trials: int = 1,
-               trial_chunk: int | None = None,
                cache_stats: bool = False) -> str:
     """Run a stock sweep workload through the (optionally parallel)
     executor, reporting throughput in points/sec (and trials/sec when the
@@ -847,11 +843,6 @@ def _cmd_sweep(workload: str, jobs: int, out: str | None, trials: int = 1,
     points = grid(**spec.axes(int(trials)))
     x_axis, metric, split = spec.x_axis, spec.metric, spec.split
     has_trials = bool(points) and "trials" in points[0]
-    if trial_chunk is not None:
-        # A pure-memory knob: it never changes results, so it stays out
-        # of the point params (and therefore out of the resume identity).
-        import functools
-        fn = functools.partial(fn, trial_chunk=int(trial_chunk))
 
     path = pathlib.Path(out) if out is not None else \
         pathlib.Path("benchmarks/results") / f"sweep_{workload}.jsonl"
@@ -949,8 +940,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                              args.save, args.overwrite))
         elif args.command == "sweep":
             print(_cmd_sweep(args.workload, args.jobs, args.out,
-                             args.trials, args.trial_chunk,
-                             args.cache_stats))
+                             args.trials, args.cache_stats))
         elif args.command == "floorplan":
             print(_cmd_floorplan(args.model, args.macro))
     except BrokenPipeError:

@@ -250,8 +250,7 @@ def train_model(model: Module, train_inputs: np.ndarray,
 
 def evaluate_compiled(plan, inputs: np.ndarray, labels: np.ndarray,
                       batch_size: int | None = None,
-                      trials: int | None = None, seed: int = 0,
-                      trial_chunk: int | None = None):
+                      trials: int | None = None, seed: int = 0):
     """Top-1 accuracy of a compiled runtime plan (any backend).
 
     The deployment-side mirror of :func:`evaluate_accuracy`: the same
@@ -276,8 +275,7 @@ def evaluate_compiled(plan, inputs: np.ndarray, labels: np.ndarray,
             batch_size=64 if batch_size is None else batch_size)
         return float((predictions == labels).mean())
     predictions = plan.predict_trials(np.asarray(inputs), trials, seed=seed,
-                                      batch_size=batch_size,
-                                      trial_chunk=trial_chunk)
+                                      batch_size=batch_size)
     return (predictions == labels[None]).mean(axis=1)
 
 

@@ -60,16 +60,15 @@ def _random_folded_dense(rng: np.random.Generator, in_features: int,
 
 
 def ber_point(cycles: float, mode: str = "2T2R", n_cells: int = 4096,
-              seed: int = 0, trials: int = 1,
-              trial_chunk: int | None = None) -> dict[str, float]:
+              seed: int = 0, trials: int = 1) -> dict[str, float]:
     """Monte-Carlo bit error rate of one Fig. 4 sweep point.
 
     Programs ``n_cells`` random bits into a wear-aged array once, then
     runs ``trials`` noisy read-back trials through the trial-batched
     engine (:mod:`repro.rram.mc`): the root ``seed`` stream programs the
     array, child stream ``t`` reads trial ``t``, so the statistics are
-    bit-identical to a serial per-trial loop over the same streams for
-    any ``trial_chunk``.  The programmed plan is cached per worker
+    bit-identical to a serial per-trial loop over the same streams.  The
+    programmed plan is cached per worker
     (keyed by geometry/mode/wear/seed), so re-runs and trial-count
     extensions skip the expensive device-sampling program pass.
     """
@@ -88,8 +87,7 @@ def ber_point(cycles: float, mode: str = "2T2R", n_cells: int = 4096,
 
     array, bits = cached_plan(
         ("ber_point", mode, rows, cols, int(cycles), seed), _build)
-    errors = read_bit_errors(array, bits,
-                             trial_streams(seed, trials), trial_chunk)
+    errors = read_bit_errors(array, bits, trial_streams(seed, trials))
     per_trial = errors / (rows * cols)
     return {"ber": float(per_trial.mean()),
             "ber_std": float(per_trial.std()),
@@ -98,8 +96,7 @@ def ber_point(cycles: float, mode: str = "2T2R", n_cells: int = 4096,
 
 def rram_inference_point(sigma: float, seed: int = 0, n_inputs: int = 32,
                          in_features: int = 128, out_features: int = 16,
-                         trials: int = 1, trial_chunk: int | None = None
-                         ) -> dict[str, float]:
+                         trials: int = 1) -> dict[str, float]:
     """Agreement of a noisy RRAM dense layer against the folded software
     reference — one point of an offset-sigma robustness sweep (the §II-B
     error-tolerance argument as a sweepable workload).
@@ -133,7 +130,7 @@ def rram_inference_point(sigma: float, seed: int = 0, n_inputs: int = 32,
         _build)
     out = hw.forward_bits_trials(
         x, trial_streams(seed, trials),
-        sense=SenseParameters(offset_sigma=sigma), trial_chunk=trial_chunk)
+        sense=SenseParameters(offset_sigma=sigma))
     per_trial = (out == reference[None]).mean(axis=(1, 2))
     return {"agreement": float(per_trial.mean()),
             "agreement_std": float(per_trial.std())}
@@ -142,8 +139,7 @@ def rram_inference_point(sigma: float, seed: int = 0, n_inputs: int = 32,
 def sharded_robustness_point(macro_cols: int, macro_rows: int = 8,
                              sigma: float = 1.5, seed: int = 0,
                              n_inputs: int = 32, in_features: int = 131,
-                             out_features: int = 10, trials: int = 1,
-                             trial_chunk: int | None = None
+                             out_features: int = 10, trials: int = 1
                              ) -> dict[str, float]:
     """Agreement of a *sharded multi-macro* dense layer against the folded
     reference, as a function of the macro geometry — the new robustness
@@ -182,7 +178,7 @@ def sharded_robustness_point(macro_cols: int, macro_rows: int = 8,
          n_inputs, in_features, out_features), _build)
     out = hw.forward_bits_trials(
         x, trial_streams(seed, trials),
-        sense=SenseParameters(offset_sigma=sigma), trial_chunk=trial_chunk)
+        sense=SenseParameters(offset_sigma=sigma))
     per_trial = (out == reference[None]).mean(axis=(1, 2))
     return {"agreement": float(per_trial.mean()),
             "agreement_std": float(per_trial.std()),
@@ -195,9 +191,7 @@ def trained_robustness_point(sigma: float, weights: str = "clean",
                              mode: str = "binary_classifier",
                              train_sigma: float = 1.5,
                              epochs: int = 0, seed: int = 0,
-                             trials: int = 1,
-                             trial_chunk: int | None = None
-                             ) -> dict[str, float]:
+                             trials: int = 1) -> dict[str, float]:
     """Validation accuracy of a *deployed* demo classifier under sense
     noise — the Fig. 4 sigma-robustness story on real weights.
 
@@ -252,8 +246,7 @@ def trained_robustness_point(sigma: float, weights: str = "clean",
         ("trained_robustness", str(model), str(mode), str(weights),
          float(train_sigma), int(epochs), seed), _build)
     predicted = plan.predict_trials(
-        bits, trials, seed=seed, trial_chunk=trial_chunk,
-        sense=SenseParameters(offset_sigma=sigma))
+        bits, trials, seed=seed, sense=SenseParameters(offset_sigma=sigma))
     per_trial = (predicted == labels[None]).mean(axis=1)
     return {"accuracy": float(per_trial.mean()),
             "accuracy_std": float(per_trial.std()),
@@ -263,8 +256,7 @@ def trained_robustness_point(sigma: float, weights: str = "clean",
 def lifetime_point(years: float, temp_c: float = 125.0, ecc: str = "none",
                    seed: int = 0, n_inputs: int = 32,
                    in_features: int = 256, out_features: int = 32,
-                   trials: int = 1, trial_chunk: int | None = None
-                   ) -> dict[str, float]:
+                   trials: int = 1) -> dict[str, float]:
     """Agreement of an *aged* noisy RRAM dense layer against the folded
     reference — one point of the accuracy-vs-storage-years curve, with or
     without SECDED ECC on the weight store.
@@ -300,8 +292,7 @@ def lifetime_point(years: float, temp_c: float = 125.0, ecc: str = "none",
     hw, x, reference, lifetime = cached_plan(
         ("lifetime_point", float(years), float(temp_c), str(ecc), seed,
          n_inputs, in_features, out_features), _build)
-    out = hw.forward_bits_trials(x, trial_streams(seed, trials),
-                                 trial_chunk=trial_chunk)
+    out = hw.forward_bits_trials(x, trial_streams(seed, trials))
     per_trial = (out == reference[None]).mean(axis=(1, 2))
     return {"agreement": float(per_trial.mean()),
             "agreement_std": float(per_trial.std()),

@@ -4,7 +4,7 @@ Implements the paper's hardware contribution end to end:
 
 * device statistics with endurance-dependent variability
   (:mod:`~repro.rram.device`);
-* precharge sense amplifiers, plain and XNOR-augmented
+* precharge sense-amplifier offsets and energy
   (:mod:`~repro.rram.sense`);
 * the kilobit memory macro of 1T1R or differential 2T2R synapses, with
   decoders (:mod:`~repro.rram.array`);
@@ -23,8 +23,7 @@ Implements the paper's hardware contribution end to end:
 
 from repro.rram.device import (DeviceParameters, analytic_ber_1t1r,
                                analytic_ber_2t2r)
-from repro.rram.sense import (SenseParameters, PrechargeSenseAmplifier,
-                              XnorPCSA)
+from repro.rram.sense import SenseParameters
 from repro.rram.array import RRAMArray
 from repro.rram.accelerator import (AcceleratorConfig, MemoryController,
                                     ShardedController,
@@ -59,7 +58,7 @@ from repro.rram.mc import (read_bit_errors, shard_streams, site_stream,
 __all__ = [
     "DeviceParameters",
     "analytic_ber_1t1r", "analytic_ber_2t2r",
-    "SenseParameters", "PrechargeSenseAmplifier", "XnorPCSA",
+    "SenseParameters",
     "RRAMArray",
     "AcceleratorConfig", "MemoryController", "ShardedController",
     "InMemoryDenseLayer", "InMemoryOutputLayer", "classifier_input_bits",

@@ -145,6 +145,35 @@ def _validate_trial_input(x_bits: np.ndarray, n_trials: int,
     return shared
 
 
+def _check_sense_override(sense: SenseParameters | None) -> None:
+    """A fast-path controller has no margins to perturb: a noisy
+    read-time sense override cannot be honoured, so refuse it loudly
+    instead of silently returning deterministic results."""
+    if sense is not None and sense.offset_sigma != 0.0:
+        raise ValueError(
+            "sense override with nonzero offset_sigma requires the "
+            "physical device path; build the controller with "
+            "fast_path=False to keep margins resident")
+
+
+def _packed_counts_trials(x_bits: np.ndarray, shared: bool, n_trials: int,
+                          weight_words: np.ndarray, in_features: int,
+                          sense: SenseParameters | None) -> np.ndarray:
+    """The fast-path trial body of the monolithic and ECC controllers.
+
+    Reads are deterministic, so shared activations are scanned once on
+    the packed kernel and broadcast over the trial axis, and a per-trial
+    stack is scanned trial by trial; ``(T, N, rows)`` counts."""
+    _check_sense_override(sense)
+    if shared:
+        counts = packed_xnor_popcount(pack_bits(x_bits), weight_words,
+                                      in_features)
+        return np.broadcast_to(
+            counts[None], (n_trials,) + counts.shape).copy()
+    return np.stack([packed_xnor_popcount(pack_bits(x), weight_words,
+                                          in_features) for x in x_bits])
+
+
 class MemoryController:
     """Programs a weight-bit matrix across a grid of RRAM tiles.
 
@@ -359,23 +388,8 @@ class MemoryController:
         never depend on them, so a cached programmed controller can be
         read at any offset sigma).
         """
-        x_bits = np.asarray(x_bits, dtype=np.uint8)
-        if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
-            raise ValueError(
-                f"input shape {x_bits.shape} != (N, {self.in_features})")
-        return self.popcounts_trials(x_bits, [rng or self.rng],
-                                     sense=sense)[0]
-
-    @staticmethod
-    def _check_sense_override(sense: SenseParameters | None) -> None:
-        """A fast-path controller has no margins to perturb: a noisy
-        read-time sense override cannot be honoured, so refuse it loudly
-        instead of silently returning deterministic results."""
-        if sense is not None and sense.offset_sigma != 0.0:
-            raise ValueError(
-                "sense override with nonzero offset_sigma requires the "
-                "physical device path; build the controller with "
-                "fast_path=False to keep margins resident")
+        return self.popcounts_trials(_single_batch(x_bits, 2),
+                                     [rng or self.rng], sense=sense)[0]
 
     def _count_read_ops(self, n: int, trials: int) -> int:
         """Update the popcount/sense-op meters for ``trials`` scans of an
@@ -407,8 +421,7 @@ class MemoryController:
         self._meter_lock = threading.Lock()
 
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
-                         sense: SenseParameters | None = None,
-                         trial_chunk: int | None = None) -> np.ndarray:
+                         sense: SenseParameters | None = None) -> np.ndarray:
         """Trial-batched XNOR-popcounts: ``T`` noisy scans in one call.
 
         ``x_bits`` is either a shared ``(N, in_features)`` batch (every
@@ -431,8 +444,8 @@ class MemoryController:
         same buffer and counts agreements.  ``offset > -margin`` decides
         exactly like ``margin + offset > 0``, because rounding a
         two-term sum keeps its sign (also for infinite margins).  Every
-        trial reuses the same scratch, so ``trial_chunk`` is accepted
-        but no longer changes the noisy path's memory.
+        trial reuses the same scratch, so memory does not grow with
+        ``T``.
 
         On the fast path reads are deterministic, so all trials are the
         one packed-kernel result broadcast over the trial axis.
@@ -443,16 +456,9 @@ class MemoryController:
         n = x_bits.shape[0] if shared else x_bits.shape[1]
         out_p = self._count_read_ops(n, trials=n_trials)
         if self.fast_path:
-            self._check_sense_override(sense)
-            if shared:
-                counts = packed_xnor_popcount(
-                    pack_bits(x_bits), self.weight_words, self.in_features)
-                return np.broadcast_to(
-                    counts[None], (n_trials,) + counts.shape).copy()
-            return np.stack([
-                packed_xnor_popcount(pack_bits(x_bits[t]),
-                                     self.weight_words, self.in_features)
-                for t in range(n_trials)])
+            return _packed_counts_trials(x_bits, shared, n_trials,
+                                         self.weight_words,
+                                         self.in_features, sense)
         margins = self._stacked_margins()
         neg_margins = np.negative(margins)
         x_bool = x_bits.astype(bool)
@@ -797,37 +803,33 @@ class ShardedController:
         each shard scans its fan-in slice with its own spawned child of
         that stream, and partial popcounts are summed per fan-out stripe.
         """
-        x_bits = np.asarray(x_bits, dtype=np.uint8)
-        if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
-            raise ValueError(
-                f"input shape {x_bits.shape} != (N, {self.in_features})")
-        return self.popcounts_trials(x_bits, [rng or self.rng],
-                                     sense=sense)[0]
+        return self.popcounts_trials(_single_batch(x_bits, 2),
+                                     [rng or self.rng], sense=sense)[0]
 
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
-                         sense: SenseParameters | None = None,
-                         trial_chunk: int | None = None) -> np.ndarray:
+                         sense: SenseParameters | None = None) -> np.ndarray:
         """Trial-batched shard-and-reduce: ``(T, N, out_features)`` counts.
 
         Shard ``s`` of trial ``t`` draws from child ``(t, s)`` of the
         trial streams (:func:`repro.rram.mc.shard_streams`), so the stack
         is bit-identical to ``[popcounts(x[t], rng=rngs[t]) for t in
-        range(T)]`` for any ``trial_chunk`` — this is the controller's
-        only scan, and a single read is a one-trial call.
+        range(T)]`` — this is the controller's only scan, and a single
+        read is a one-trial call.
 
         Fast-path trials are deterministic and never consume the
         streams: shared activations are scanned **once** and broadcast
         over the trial axis; per-trial activation stacks run the stacked
-        plan per trial chunk (each chunk packed and scanned flat).  The
-        ``T`` scans every chip would perform are accounted on the meters
-        arithmetically — no redundant re-scans.
+        plan per trial window of at most ``read_chunk_elems`` counts
+        (each window packed and scanned flat).  The ``T`` scans every
+        chip would perform are accounted on the meters arithmetically —
+        no redundant re-scans.
         """
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         n_trials = len(rngs)
         shared = _validate_trial_input(x_bits, n_trials, self.in_features)
         n = x_bits.shape[0] if shared else x_bits.shape[1]
         if self.fast_path:
-            MemoryController._check_sense_override(sense)
+            _check_sense_override(sense)
             self._meter_fast(n, trials=n_trials)
             if shared:
                 counts = self._fast_counts(x_bits)
@@ -837,7 +839,7 @@ class ShardedController:
                               dtype=np.int64)
             per_trial = n * max(1, self.n_shards * self.macro.rows)
             for t0, t1 in trial_chunks(n_trials, per_trial,
-                                       self.read_chunk_elems, trial_chunk):
+                                       self.read_chunk_elems):
                 flat = x_bits[t0:t1].reshape((t1 - t0) * n,
                                              self.in_features)
                 counts[t0:t1] = self._fast_counts(flat).reshape(
@@ -850,8 +852,7 @@ class ShardedController:
             xs = x_bits[:, spec.col_start:spec.col_stop] if shared \
                 else x_bits[:, :, spec.col_start:spec.col_stop]
             counts[:, :, spec.row_start:spec.row_stop] += \
-                shard.popcounts_trials(xs, shard_rngs, sense=sense,
-                                       trial_chunk=trial_chunk)
+                shard.popcounts_trials(xs, shard_rngs, sense=sense)
         return counts
 
     def __repr__(self) -> str:
@@ -885,12 +886,11 @@ class InMemoryDenseLayer:
             _single_batch(x_bits, 2), [self.controller.rng])[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
-                            sense: SenseParameters | None = None,
-                            trial_chunk: int | None = None) -> np.ndarray:
+                            sense: SenseParameters | None = None
+                            ) -> np.ndarray:
         """Trial-batched forward: ``(N, in)`` or ``(T, N, in)`` bits in,
         ``(T, N, out)`` bits out; trial ``t`` reads with ``rngs[t]``."""
-        pc = self.controller.popcounts_trials(x_bits, rngs, sense=sense,
-                                              trial_chunk=trial_chunk)
+        pc = self.controller.popcounts_trials(x_bits, rngs, sense=sense)
         f = self.folded
         dot = 2 * pc - f.in_features
         return threshold_bits(dot, f.theta[None, :], f.gamma_sign[None, :],
@@ -912,12 +912,11 @@ class InMemoryOutputLayer:
             _single_batch(x_bits, 2), [self.controller.rng])[0]
 
     def forward_scores_trials(self, x_bits: np.ndarray, rngs,
-                              sense: SenseParameters | None = None,
-                              trial_chunk: int | None = None) -> np.ndarray:
+                              sense: SenseParameters | None = None
+                              ) -> np.ndarray:
         """Trial-batched scores: ``(T, N, classes)``; trial ``t`` reads
         with ``rngs[t]``."""
-        pc = self.controller.popcounts_trials(x_bits, rngs, sense=sense,
-                                              trial_chunk=trial_chunk)
+        pc = self.controller.popcounts_trials(x_bits, rngs, sense=sense)
         dot = 2 * pc - self.folded.in_features
         return dot * self.folded.scale[None, :] + self.folded.offset[None, :]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.rram.device import DeviceParameters
 from repro.rram.mc import READ_CHUNK_ELEMS
-from repro.rram.sense import SenseParameters, XnorPCSA
+from repro.rram.sense import SenseParameters
 
 __all__ = ["RRAMArray"]
 
@@ -56,7 +56,8 @@ class RRAMArray:
         self.mode = mode
         self.params = params or DeviceParameters()
         self.rng = rng or np.random.default_rng()
-        self.amplifiers = XnorPCSA(sense, self.rng)
+        self.sense = sense or SenseParameters()
+        self.sense_ops = 0   # sense operations performed by reads
 
         shape = (self.n_rows, self.n_cols)
         self.weight_bits = np.zeros(shape, dtype=np.uint8)
@@ -183,7 +184,7 @@ class RRAMArray:
             raise ValueError(f"hours must be >= 0, got {hours}")
         if hours == 0:
             return
-        self._check_programmed(None, None)
+        self._check_programmed()
         rng = rng or self.rng
         is_lrs_bl = self.weight_bits == 1
         self.r_bl = retention.apply(self.r_bl, is_lrs_bl, hours, rng)
@@ -209,29 +210,6 @@ class RRAMArray:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def read_row(self, row: int, cols=None) -> np.ndarray:
-        """Plain weight read of one word line through the sense amplifiers."""
-        row = self._decode_row(row)
-        cols = self._decode_cols(cols)
-        self._check_programmed(row, cols)
-        if self.mode == "2T2R":
-            return self.amplifiers.sense(self.r_bl[row, cols],
-                                         self.r_blb[row, cols])
-        return self.amplifiers.sense_single_ended(
-            self.r_bl[row, cols], self.params.reference_resistance)
-
-    def read_row_xnor(self, row: int, input_bits: np.ndarray,
-                      cols=None) -> np.ndarray:
-        """XNOR-augmented read (Fig. 3b): returns XNOR(weight, input)."""
-        if self.mode != "2T2R":
-            raise RuntimeError("XNOR sensing requires the 2T2R array")
-        row = self._decode_row(row)
-        cols = self._decode_cols(cols)
-        self._check_programmed(row, cols)
-        return self.amplifiers.sense_xnor(
-            self.r_bl[row, cols], self.r_blb[row, cols],
-            np.asarray(input_bits, dtype=np.uint8).reshape(-1))
-
     def _read_margin(self) -> np.ndarray:
         """Offset-free decision margin of every cell for a plain read
         (differential in 2T2R mode, against the reference in 1T1R)."""
@@ -239,20 +217,22 @@ class RRAMArray:
             return self._sense_margin()
         return np.log(self.params.reference_resistance) - np.log(self.r_bl)
 
-    def read_all(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def read_all(self, rng: np.random.Generator | None = None,
+                 sense: SenseParameters | None = None) -> np.ndarray:
         """Read every word line; returns the sensed bit matrix.
 
-        Vectorized scan: one offset draw covers the whole array instead of
-        one RNG round-trip per word line, with decisions identical in
-        distribution to row-by-row :meth:`read_row` reads.  ``rng``
-        overrides the array's generator for this read only — the hook the
-        Monte-Carlo engine uses to give every trial its own child stream
-        (:mod:`repro.rram.mc`) without touching shared state.
+        Vectorized scan: one offset draw covers the whole array, one
+        sense operation per cell.  ``rng`` overrides the array's
+        generator and ``sense`` its sense parameters for this read only
+        — the hooks the Monte-Carlo engine (:mod:`repro.rram.mc`) and
+        the ECC store's per-scan fetch use to read a programmed array
+        with a trial's own stream at any offset sigma, without touching
+        shared state.
         """
-        self._check_programmed(None, None)
-        offsets = self.amplifiers.params.offset(
+        self._check_programmed()
+        offsets = (sense or self.sense).offset(
             rng or self.rng, (self.n_rows, self.n_cols))
-        self.amplifiers.sense_count += self.n_rows * self.n_cols
+        self.sense_ops += self.n_rows * self.n_cols
         return (self._read_margin() + offsets > 0).astype(np.uint8)
 
     def read_all_trials(self, rngs) -> np.ndarray:
@@ -267,110 +247,22 @@ class RRAMArray:
         rounding a two-term sum keeps its sign) straight into its slice
         of the returned stack, so no trial-stacked float tensor exists.
         """
-        self._check_programmed(None, None)
+        self._check_programmed()
         shape = (self.n_rows, self.n_cols)
         neg_margin = np.negative(self._read_margin())
         bits = np.empty((len(rngs),) + shape, dtype=np.uint8)
         decided = bits.view(bool)
         offsets = np.empty(shape)
         for t, rng in enumerate(rngs):
-            self.amplifiers.params.offset(rng, shape, out=offsets)
+            self.sense.offset(rng, shape, out=offsets)
             np.greater(offsets, neg_margin, out=decided[t])
-        self.amplifiers.sense_count += bits.size
+        self.sense_ops += bits.size
         return bits
 
-    def read_all_xnor(self, input_bits: np.ndarray) -> np.ndarray:
-        """XNOR every stored row with ``input_bits`` (one read per row).
-
-        This is the inner loop of the Fig. 5 architecture: the input vector
-        is broadcast on the sense-amplifier XNOR inputs while word lines are
-        scanned.
-        """
-        input_bits = np.asarray(input_bits, dtype=np.uint8)
-        if input_bits.shape != (self.n_cols,):
-            raise ValueError(
-                f"input bits shape {input_bits.shape} != ({self.n_cols},)")
-        if self.mode != "2T2R":
-            raise RuntimeError("XNOR sensing requires the 2T2R array")
-        self._check_programmed(None, None)
-        offsets = self.amplifiers.params.offset(
-            self.rng, (self.n_rows, self.n_cols))
-        self.amplifiers.sense_count += self.n_rows * self.n_cols
-        weight_read = (self._sense_margin() + offsets) > 0
-        return np.logical_not(
-            np.logical_xor(weight_read, input_bits[None, :].astype(bool))
-        ).astype(np.uint8)
-
-    def read_all_xnor_batch(self, input_bits: np.ndarray) -> np.ndarray:
-        """Vectorized XNOR reads for a batch of input vectors.
-
-        ``input_bits``: ``(N, n_cols)``.  Returns ``(N, n_rows, n_cols)``
-        XNOR outputs.  Physically each of the ``N`` inferences is a separate
-        word-line scan with fresh sense-amplifier noise, which is exactly
-        what the independent offset draws model.
-        """
-        input_bits = np.asarray(input_bits, dtype=np.uint8)
-        if input_bits.ndim != 2 or input_bits.shape[1] != self.n_cols:
-            raise ValueError(
-                f"input bits shape {input_bits.shape} != (N, {self.n_cols})")
-        if self.mode != "2T2R":
-            raise RuntimeError("XNOR sensing requires the 2T2R array")
-        self._check_programmed(None, None)
-        n = input_bits.shape[0]
-        offsets = self.amplifiers.params.offset(
-            self.rng, (n, self.n_rows, self.n_cols))
-        self.amplifiers.sense_count += n * self.n_rows * self.n_cols
-        margin = self._sense_margin()[None, :, :]
-        weight_read = (margin + offsets) > 0
-        return np.logical_not(
-            np.logical_xor(weight_read,
-                           input_bits[:, None, :].astype(bool))
-        ).astype(np.uint8)
-
-    def xnor_popcounts(self, input_bits: np.ndarray,
-                       n_valid: int | None = None) -> np.ndarray:
-        """Vectorized word-line scan with on-the-fly popcount.
-
-        ``input_bits``: ``(N, n_cols)``.  Returns ``(N, n_rows)`` counts of
-        agreeing cells over the first ``n_valid`` columns (all by default).
-        Physically identical to :meth:`read_all_xnor_batch` followed by the
-        shared popcount logic — every word line is scanned with fresh
-        sense-amplifier offsets — but the XNOR plane is never materialized
-        as a bit tensor, which is how the Fig. 5 popcount tree actually
-        consumes the sense amplifiers' outputs.
-        """
-        input_bits = np.asarray(input_bits, dtype=np.uint8)
-        if input_bits.ndim != 2 or input_bits.shape[1] != self.n_cols:
-            raise ValueError(
-                f"input bits shape {input_bits.shape} != (N, {self.n_cols})")
-        if self.mode != "2T2R":
-            raise RuntimeError("XNOR sensing requires the 2T2R array")
-        self._check_programmed(None, None)
-        n_valid = self.n_cols if n_valid is None else int(n_valid)
-        if not 0 <= n_valid <= self.n_cols:
-            raise ValueError(f"n_valid {n_valid} outside [0, {self.n_cols}]")
-        n = input_bits.shape[0]
-        offsets = self.amplifiers.params.offset(
-            self.rng, (n, self.n_rows, self.n_cols))
-        self.amplifiers.sense_count += n * self.n_rows * self.n_cols
-        margin = self._sense_margin()[None, :, :]
-        weight_read = (margin + offsets) > 0
-        agree = weight_read[:, :, :n_valid] \
-            == (input_bits[:, None, :n_valid] != 0)
-        return agree.sum(axis=2, dtype=np.int64)
-
     # ------------------------------------------------------------------
-    def _check_programmed(self, row, cols) -> None:
-        if row is None:
-            ok = self._programmed.all()
-        else:
-            ok = self._programmed[row, cols].all()
-        if not ok:
+    def _check_programmed(self) -> None:
+        if not self._programmed.all():
             raise RuntimeError("reading unprogrammed cells")
-
-    @property
-    def sense_ops(self) -> int:
-        return self.amplifiers.sense_count
 
     def __repr__(self) -> str:
         return (f"RRAMArray({self.n_rows}x{self.n_cols}, mode={self.mode}, "

@@ -156,7 +156,7 @@ class InMemoryConv1dLayer:
             _single_batch(x_bits, 3), [self.controller.rng])[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
-                            sense=None, trial_chunk=None) -> np.ndarray:
+                            sense=None) -> np.ndarray:
         """Trial-batched conv: ``(N, C, L)`` or ``(T, N, C, L)`` bits in,
         ``(T, N, C_out, L_out)`` out; trial ``t`` reads with ``rngs[t]``
         (bit-identical to a per-trial :meth:`forward_bits` loop)."""
@@ -170,8 +170,7 @@ class InMemoryConv1dLayer:
         l_out = f.output_length(length)
         patches = f._patches(x_bits) if shared else np.stack(
             [f._patches(x_bits[t]) for t in range(len(rngs))])
-        pc = self.controller.popcounts_trials(patches, rngs, sense=sense,
-                                              trial_chunk=trial_chunk)
+        pc = self.controller.popcounts_trials(patches, rngs, sense=sense)
         out = f._threshold(2 * pc - f.fan_in)
         return out.reshape(len(rngs), n, l_out, f.out_channels) \
             .transpose(0, 1, 3, 2)

@@ -214,7 +214,7 @@ class InMemoryConv2dLayer:
             _single_batch(x_bits, 4), [self.controller.rng])[0]
 
     def forward_bits_trials(self, x_bits: np.ndarray, rngs,
-                            sense=None, trial_chunk=None) -> np.ndarray:
+                            sense=None) -> np.ndarray:
         """Trial-batched conv2d: ``(N, C, H, W)`` or ``(T, N, C, H, W)``
         bits in, ``(T, N, C_out, H_out, W_out)`` out; trial ``t`` reads
         with ``rngs[t]``.  Depthwise layers are deterministic (folded
@@ -237,8 +237,7 @@ class InMemoryConv2dLayer:
         h_out, w_out = f.output_shape(height, width)
         patches = f._patches(x_bits) if shared else np.stack(
             [f._patches(x_bits[t]) for t in range(n_trials)])
-        pc = self.controller.popcounts_trials(patches, rngs, sense=sense,
-                                              trial_chunk=trial_chunk)
+        pc = self.controller.popcounts_trials(patches, rngs, sense=sense)
         out = _threshold_channels(2 * pc - f.fan_in, f.theta[None, :],
                                   f.gamma_sign[None, :],
                                   f.beta_sign[None, :])

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rram.mc import READ_CHUNK_ELEMS
-
 __all__ = ["HammingCode", "EccMemoryController",
            "simulate_protected_storage"]
 
@@ -181,8 +179,6 @@ class EccMemoryController:
     time, and scans run the packed digital kernels on the corrected bits.
     """
 
-    read_chunk_elems = READ_CHUNK_ELEMS
-
     def __init__(self, weight_bits: np.ndarray,
                  config=None,
                  rng: np.random.Generator | None = None,
@@ -313,14 +309,6 @@ class EccMemoryController:
         return np.ascontiguousarray(
             decoded.reshape(self.out_features, -1)[:, :self.in_features])
 
-    def _fetch_weights(self, rng: np.random.Generator,
-                       sense) -> np.ndarray:
-        """One noisy fetch-and-decode of the whole store (per scan)."""
-        margins = self.array._read_margin()
-        offsets = (sense or self.config.sense).offset(rng, margins.shape)
-        self.array.amplifiers.sense_count += margins.size
-        return self._decode_stored((margins + offsets > 0).astype(np.uint8))
-
     # -- reads -----------------------------------------------------------
     def popcounts(self, x_bits: np.ndarray,
                   rng: np.random.Generator | None = None,
@@ -334,26 +322,21 @@ class EccMemoryController:
         A one-trial :meth:`popcounts_trials` scan reading from ``rng``
         (the controller's generator by default).
         """
-        x_bits = np.asarray(x_bits, dtype=np.uint8)
-        if x_bits.ndim != 2 or x_bits.shape[1] != self.in_features:
-            raise ValueError(
-                f"input shape {x_bits.shape} != (N, {self.in_features})")
-        return self.popcounts_trials(x_bits, [rng or self.rng],
-                                     sense=sense)[0]
+        from repro.rram.accelerator import _single_batch
+        return self.popcounts_trials(_single_batch(x_bits, 2),
+                                     [rng or self.rng], sense=sense)[0]
 
     def popcounts_trials(self, x_bits: np.ndarray, rngs,
-                         sense=None,
-                         trial_chunk: int | None = None) -> np.ndarray:
+                         sense=None) -> np.ndarray:
         """Trial-batched scans: ``(T, N, out_features)`` counts.
 
         The controller's only scan.  Trial ``t`` performs exactly one
-        weight fetch drawn from ``rngs[t]`` alone, so the loop is
-        trivially bit-identical to
-        ``[popcounts(x[t], rng=rngs[t]) for t in range(T)]`` for any
-        ``trial_chunk`` (accepted for API parity; the per-trial noise
-        tensor here is one weight fetch, already minimal).
+        noisy fetch of the whole store (:meth:`~repro.rram.array.
+        RRAMArray.read_all` with ``rngs[t]``) and decodes it, so the loop
+        is trivially bit-identical to
+        ``[popcounts(x[t], rng=rngs[t]) for t in range(T)]``.
         """
-        from repro.rram.accelerator import (MemoryController,
+        from repro.rram.accelerator import (_packed_counts_trials,
                                             _validate_trial_input)
         from repro.nn.bitops import pack_bits, packed_xnor_popcount
         x_bits = np.asarray(x_bits, dtype=np.uint8)
@@ -363,19 +346,13 @@ class EccMemoryController:
         self.popcount_bit_ops += \
             n_trials * n * self.out_features * self.in_features
         if self.fast_path:
-            MemoryController._check_sense_override(sense)
-            if shared:
-                counts = packed_xnor_popcount(
-                    pack_bits(x_bits), self.weight_words, self.in_features)
-                return np.broadcast_to(
-                    counts[None], (n_trials,) + counts.shape).copy()
-            return np.stack([
-                packed_xnor_popcount(pack_bits(x_bits[t]),
-                                     self.weight_words, self.in_features)
-                for t in range(n_trials)])
+            return _packed_counts_trials(x_bits, shared, n_trials,
+                                         self.weight_words,
+                                         self.in_features, sense)
         counts = np.empty((n_trials, n, self.out_features), dtype=np.int64)
         for t, rng in enumerate(rngs):
-            weights = pack_bits(self._fetch_weights(rng, sense))
+            weights = pack_bits(self._decode_stored(
+                self.array.read_all(rng, sense=sense)))
             xs = x_bits if shared else x_bits[t]
             counts[t] = packed_xnor_popcount(pack_bits(xs), weights,
                                              self.in_features)

@@ -55,9 +55,9 @@ class EnduranceExperiment:
     RNG-stream contract (see :mod:`repro.rram.mc`): one child stream per
     checkpoint, re-spawned into one stream per draw site (BL/BLb
     resistances, BL/BLb single-ended offsets, PCSA offset).  Because
-    numpy normal draws are split-stable per stream, the trial axis can be
-    evaluated in memory-bounded windows (``trial_chunk``) with results
-    bit-identical for every chunking — the same contract the
+    numpy normal draws are split-stable per stream, the trial axis is
+    evaluated in windows bounded by ``READ_CHUNK_ELEMS`` with results
+    bit-identical for every window size — the same contract the
     trial-batched array reads obey.
     """
 
@@ -67,7 +67,6 @@ class EnduranceExperiment:
         1e8, 7e8, 7))
     trials: int = 200_000
     seed: int = 0
-    trial_chunk: int | None = None   # trials per vectorized window
 
     #: ~doubles drawn per trial per checkpoint (sizes the default window)
     _ELEMS_PER_TRIAL = 8
@@ -94,8 +93,7 @@ class EnduranceExperiment:
             err_bl = err_blb = err_2t = 0
             for start, stop in trial_chunks(self.trials,
                                             self._ELEMS_PER_TRIAL,
-                                            READ_CHUNK_ELEMS,
-                                            self.trial_chunk):
+                                            READ_CHUNK_ELEMS):
                 window = stored[start:stop]
                 # Program: BL holds LRS iff weight == 1, BLb the
                 # complement.

@@ -25,8 +25,7 @@ primitives that let the whole repository amortize it:
   (``SenseParameters.offset(rng, shape, out=buf)``), so no
   trial-stacked noise tensor is ever built.  A controller's
   ``read_chunk_elems`` bounds that buffer — one trial's scratch, split
-  into blocks of batch rows — and ``trial_chunk`` is still accepted on
-  the noisy controller path but no longer changes its memory.
+  into blocks of batch rows.
 
 The RNG-stream contract, in one line: *the root seed programs, child
 stream* ``t`` *reads trial* ``t``.  Programming (device resistance
@@ -122,25 +121,21 @@ def site_stream(seed, *key: int) -> np.random.Generator:
                                spawn_key=seed_seq.spawn_key + key))
 
 
-def trial_chunks(n_trials: int, per_trial_elems: int,
-                 budget: int, trial_chunk: int | None = None):
+def trial_chunks(n_trials: int, per_trial_elems: int, budget: int):
     """Yield ``(start, stop)`` trial windows whose stacked noise tensor
-    stays inside ``budget`` elements.
+    stays inside ``budget`` elements (at least one trial per window).
 
-    ``trial_chunk`` overrides the derived window (clamped to at least 1);
-    results never depend on the chunking — only peak memory does — because
-    every trial draws from its own stream (see module docstring).
+    Results never depend on the chunking — only peak memory does —
+    because every trial draws from its own stream (see module docstring).
     """
-    if trial_chunk is None:
-        trial_chunk = max(1, int(budget) // max(1, int(per_trial_elems)))
-    trial_chunk = max(1, min(int(trial_chunk), int(n_trials)))
-    for start in range(0, int(n_trials), trial_chunk):
-        yield start, min(start + trial_chunk, int(n_trials))
+    window = max(1, min(int(budget) // max(1, int(per_trial_elems)),
+                        int(n_trials)))
+    for start in range(0, int(n_trials), window):
+        yield start, min(start + window, int(n_trials))
 
 
 def read_bit_errors(array, expected_bits: np.ndarray,
-                    rngs: list[np.random.Generator],
-                    trial_chunk: int | None = None) -> np.ndarray:
+                    rngs: list[np.random.Generator]) -> np.ndarray:
     """Per-trial read-back error counts of one programmed array.
 
     The Fig. 4 inner loop as an engine primitive: ``T`` noisy full-array
@@ -148,10 +143,11 @@ def read_bit_errors(array, expected_bits: np.ndarray,
     ``expected_bits``; returns an ``(T,)`` int64 error-count vector.  The
     array is programmed once by the caller and never mutated here, so the
     cost per extra trial is one in-place offset draw plus one vectorized
-    compare.  Trial windows bound the uint8 read stack.
+    compare.  Trial windows of the array's ``read_chunk_elems`` bound the
+    uint8 read stack.
 
     Bit-identical to ``[int((array.read_all(rng=r) != expected_bits).sum())
-    for r in rngs]`` for any ``trial_chunk``.
+    for r in rngs]`` for any window size.
     """
     expected_bits = np.asarray(expected_bits, dtype=np.uint8)
     if expected_bits.shape != (array.n_rows, array.n_cols):
@@ -161,8 +157,7 @@ def read_bit_errors(array, expected_bits: np.ndarray,
     errors = np.empty(len(rngs), dtype=np.int64)
     per_trial = array.n_rows * array.n_cols
     budget = getattr(array, "read_chunk_elems", READ_CHUNK_ELEMS)
-    for start, stop in trial_chunks(len(rngs), per_trial, budget,
-                                    trial_chunk):
+    for start, stop in trial_chunks(len(rngs), per_trial, budget):
         read = array.read_all_trials(rngs[start:stop])
         errors[start:stop] = (read != expected_bits[None]).sum(
             axis=(1, 2), dtype=np.int64)

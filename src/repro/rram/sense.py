@@ -1,29 +1,28 @@
-"""Precharge sense amplifiers (paper Fig. 3).
+"""Precharge sense amplifier parameters (paper Fig. 3).
 
 The PCSA compares the discharge rates of two precharged branches; the branch
-with the lower resistance wins the latch race.  Its decision is corrupted by
-a random input-referred offset (transistor mismatch), modelled as a
-log-normal factor on the resistance ratio — equivalently an additive
-Gaussian offset in ln-resistance units.
+with the lower resistance wins the latch race, so a 2T2R read senses
+weight +1 iff the BL device is the less resistive one.  Its decision is
+corrupted by a random input-referred offset (transistor mismatch),
+modelled as a log-normal factor on the resistance ratio — equivalently an
+additive Gaussian offset in ln-resistance units.  The Fig. 3b XNOR stage
+swaps the two branches under control of the input bit, so the latched
+value is directly XNOR(weight, input): the binary multiplication of
+Eq. (3) happens *inside the sense amplifier*.
 
-Two variants are modelled, matching Fig. 3:
-
-* :class:`PrechargeSenseAmplifier` — plain differential read of a 2T2R pair
-  (Fig. 3a), or single-ended read against a reference resistance for 1T1R.
-* :class:`XnorPCSA` — the paper's key circuit trick (Fig. 3b): four extra
-  transistors swap the two branches under control of the input bit, so the
-  latched value is directly XNOR(weight, input), performing the binary
-  multiplication of Eq. (3) *inside the sense amplifier*.
+:class:`SenseParameters` holds those non-idealities and draws the
+per-read offsets; :class:`~repro.rram.array.RRAMArray` and the memory
+controllers of :mod:`repro.rram.accelerator` apply them to the cells'
+differential margins (``margin + offset > 0``) and meter every decision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SenseParameters", "PrechargeSenseAmplifier", "XnorPCSA"]
+__all__ = ["SenseParameters"]
 
 
 @dataclass
@@ -64,57 +63,3 @@ class SenseParameters:
         out *= self.offset_sigma
         return out
 
-
-class PrechargeSenseAmplifier:
-    """Differential resistance comparator with random offset.
-
-    Convention: ``sense(r_bl, r_blb) == 1`` iff the BL device is the *less*
-    resistive one (LRS on BL / HRS on BLb), which the paper defines as
-    weight +1.
-    """
-
-    def __init__(self, params: SenseParameters | None = None,
-                 rng: np.random.Generator | None = None):
-        self.params = params or SenseParameters()
-        self.rng = rng or np.random.default_rng()
-        self.sense_count = 0
-
-    def sense(self, r_bl: np.ndarray, r_blb: np.ndarray) -> np.ndarray:
-        """Latch a (vector of) 2T2R comparison(s); returns uint8 bits."""
-        r_bl = np.asarray(r_bl, dtype=float)
-        r_blb = np.asarray(r_blb, dtype=float)
-        offset = self.params.offset(self.rng, np.broadcast(r_bl, r_blb).shape)
-        self.sense_count += int(np.prod(np.broadcast(r_bl, r_blb).shape) or 1)
-        decision = np.log(r_blb) - np.log(r_bl) + offset
-        return (decision > 0).astype(np.uint8)
-
-    def sense_single_ended(self, resistance: np.ndarray,
-                           reference: float) -> np.ndarray:
-        """1T1R read: compare one device against a reference (bit 1 = LRS)."""
-        resistance = np.asarray(resistance, dtype=float)
-        offset = self.params.offset(self.rng, resistance.shape)
-        self.sense_count += int(resistance.size or 1)
-        decision = math.log(reference) - np.log(resistance) + offset
-        return (decision > 0).astype(np.uint8)
-
-
-class XnorPCSA(PrechargeSenseAmplifier):
-    """PCSA augmented with an XNOR input stage (Fig. 3b).
-
-    The input bit steers which branch connects to which output node; the
-    latched result is XNOR(stored weight bit, input bit).  Energy per sense
-    is marginally higher than the plain PCSA (four extra transistors).
-    """
-
-    def __init__(self, params: SenseParameters | None = None,
-                 rng: np.random.Generator | None = None):
-        params = params or SenseParameters(energy_fj=8.0)
-        super().__init__(params, rng)
-
-    def sense_xnor(self, r_bl: np.ndarray, r_blb: np.ndarray,
-                   input_bits: np.ndarray) -> np.ndarray:
-        """Read the weight and multiply by the input in one sense operation."""
-        weight_bits = self.sense(r_bl, r_blb)
-        input_bits = np.asarray(input_bits, dtype=np.uint8)
-        return np.logical_not(np.logical_xor(weight_bits, input_bits)) \
-            .astype(np.uint8)

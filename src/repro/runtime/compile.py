@@ -108,7 +108,10 @@ class CompiledModel:
         ``t`` draws every stochastic read from child stream ``t`` of
         ``seed`` (:func:`repro.rram.mc.trial_streams`), so for a fixed
         ``(seed, batch_size)`` the stack is bit-identical to a serial
-        per-trial pass over the same streams, for any ``trial_chunk``.
+        per-trial pass over the same streams.  ``trial_chunk`` runs the
+        trials in windows of that many streams and concatenates them —
+        bit-identical for any window, since each trial draws only from
+        its own stream; ``trial_chunk=1`` is the serial per-trial pass.
         Substrate ops that expose ``forward_*_trials`` (the ``rram``
         backend's noisy layers) evaluate all trials in one vectorized
         pass; deterministic ops (front-end, periphery, packed/reference
@@ -131,20 +134,24 @@ class CompiledModel:
                 "with RRAMBackend(..., fast_path=False)")
         inputs = np.asarray(inputs)
         rngs = trial_streams(seed, trials)
-        if batch_size is None or len(inputs) == 0:
-            return self._run_trials(inputs, rngs, trial_chunk, sense)
-        chunks = [self._run_trials(inputs[s:s + batch_size], rngs,
-                                   trial_chunk, sense)
-                  for s in range(0, len(inputs), batch_size)]
-        return np.concatenate(chunks, axis=1)
+        step = len(rngs) if trial_chunk is None else max(1, int(trial_chunk))
+        return np.concatenate(
+            [self._run_batches(inputs, rngs[t0:t0 + step], batch_size, sense)
+             for t0 in range(0, len(rngs), step)], axis=0)
 
     def predict_trials(self, inputs: np.ndarray, trials: int, seed: int = 0,
                        batch_size: int | None = None,
-                       trial_chunk: int | None = None,
                        sense=None) -> np.ndarray:
         """Per-trial predicted labels ``(trials, N)``."""
         return self.scores_trials(inputs, trials, seed, batch_size,
-                                  trial_chunk, sense).argmax(axis=2)
+                                  sense=sense).argmax(axis=2)
+
+    def _run_batches(self, inputs, rngs, batch_size, sense):
+        if batch_size is None or len(inputs) == 0:
+            return self._run_trials(inputs, rngs, sense)
+        chunks = [self._run_trials(inputs[s:s + batch_size], rngs, sense)
+                  for s in range(0, len(inputs), batch_size)]
+        return np.concatenate(chunks, axis=1)
 
     @staticmethod
     def _stochastic(executor) -> bool:
@@ -157,21 +164,19 @@ class CompiledModel:
         controller = getattr(executor, "controller", None)
         return controller is not None and not controller.fast_path
 
-    def _run_trials(self, x, rngs, trial_chunk, sense):
+    def _run_trials(self, x, rngs, sense):
         per_trial = False
         for op in self.ops:
             executor = getattr(op, "executor", None)
             if isinstance(op, OutputLayerOp) and \
                     hasattr(executor, "forward_scores_trials") and \
                     (per_trial or self._stochastic(executor)):
-                x = executor.forward_scores_trials(
-                    x, rngs, sense=sense, trial_chunk=trial_chunk)
+                x = executor.forward_scores_trials(x, rngs, sense=sense)
                 per_trial = True
             elif isinstance(op, BitLayerOp) and \
                     hasattr(executor, "forward_bits_trials") and \
                     (per_trial or self._stochastic(executor)):
-                x = executor.forward_bits_trials(
-                    x, rngs, sense=sense, trial_chunk=trial_chunk)
+                x = executor.forward_bits_trials(x, rngs, sense=sense)
                 per_trial = True
             elif per_trial:
                 # Deterministic op downstream of a noisy one: the trials

@@ -67,6 +67,10 @@ __all__ = ["PlanServer", "HttpFront", "ServeRequest", "QueueFull",
 JSON_BYTES_PER_NUMBER = 32
 JSON_ENVELOPE_BYTES = 4096
 
+# How often the HTTP accept loop checks for a shutdown request: the
+# stdlib default of 0.5 s would make every shutdown wait that long.
+HTTP_POLL_INTERVAL = 0.05
+
 
 class QueueFull(RuntimeError):
     """Admission queue at capacity (HTTP 429 — retryable), or a request
@@ -247,6 +251,7 @@ class PlanServer:
         self._next_id = 0
         self._draining = False
         self._stopped = False
+        self._executor_dead = False
         self._executor = threading.Thread(target=self._executor_loop,
                                           name="repro-serve-executor",
                                           daemon=True)
@@ -363,7 +368,7 @@ class PlanServer:
     def executor_alive(self) -> bool:
         """False once the executor thread has exited, by a drain or by
         an error outside a plan evaluation."""
-        return self._executor.is_alive()
+        return not self._executor_dead and self._executor.is_alive()
 
     # -- stats -----------------------------------------------------------
     def stats_snapshot(self) -> dict:
@@ -406,6 +411,21 @@ class PlanServer:
 
     # -- executor --------------------------------------------------------
     def _executor_loop(self):
+        """Run the executor; if it dies outside a plan evaluation, fail
+        every admitted request at once instead of leaving it to time out,
+        and refuse new ones (the error still reaches the thread hook)."""
+        try:
+            self._serve_flushes()
+        except BaseException:
+            with self._cond:
+                self._executor_dead = True
+                handles = list(self._handles.values())
+                self._handles.clear()
+            for handle in handles:
+                handle._fail(ServerClosed("executor thread has died"))
+            raise
+
+    def _serve_flushes(self):
         tenants = list(self._tenants.values())
         while True:
             flushes = []
@@ -620,7 +640,9 @@ class HttpFront:
                                                "the executor"})
                     return
                 if handle.error is not None:
-                    self._reply(500, {"error": str(handle.error)})
+                    closed = isinstance(handle.error, ServerClosed)
+                    self._reply(503 if closed else 500,
+                                {"error": str(handle.error)})
                     return
                 self._reply(200, {
                     "scores": handle.scores.tolist(),
@@ -640,7 +662,7 @@ class HttpFront:
 
     def start(self) -> "HttpFront":
         """Serve in a background thread (returns immediately)."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name="repro-serve-http",
                                         daemon=True)
         self._thread.start()
@@ -648,7 +670,7 @@ class HttpFront:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=HTTP_POLL_INTERVAL)
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop the transport, then drain (or drop) the execution core."""

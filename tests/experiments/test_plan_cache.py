@@ -9,6 +9,7 @@ from repro.experiments import (RateProgress, Sweep, cached_plan,
 from repro.experiments.workloads import (_cell_geometry, ber_point,
                                          rram_inference_point,
                                          sharded_robustness_point)
+from repro.rram import MemoryController, RRAMArray
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +66,7 @@ class TestBerPoint:
         assert point["cells"] == 4097.0
 
     def test_trial_batched_matches_serial_read_loop(self):
-        from repro.rram import RRAMArray, trial_streams
+        from repro.rram import trial_streams
 
         params = dict(cycles=5e8, mode="1T1R", n_cells=100, seed=3)
         batched = ber_point(**params, trials=6)
@@ -79,12 +80,14 @@ class TestBerPoint:
         assert batched["ber"] == float(per_trial.mean())
         assert batched["ber_std"] == float(per_trial.std())
 
-    def test_trial_chunk_never_changes_results(self):
+    def test_trial_chunk_never_changes_results(self, monkeypatch):
         params = dict(cycles=3e8, mode="2T2R", n_cells=64, seed=1, trials=5)
         reference = ber_point(**params)
         for chunk in (1, 2, 5):
             clear_plan_cache()
-            assert ber_point(**params, trial_chunk=chunk) == reference
+            # Windows of ``chunk`` trials over the 64-cell array.
+            monkeypatch.setattr(RRAMArray, "read_chunk_elems", chunk * 64)
+            assert ber_point(**params) == reference
 
     def test_cached_equals_cold(self):
         params = dict(cycles=2e8, mode="2T2R", n_cells=81, seed=2, trials=4)
@@ -151,10 +154,12 @@ class TestShardedRobustnessPoint:
         assert (tmp_path / "warm.jsonl").read_bytes() == \
             (tmp_path / "cold.jsonl").read_bytes()
 
-    def test_trial_chunk_never_changes_the_record(self):
+    def test_trial_chunk_never_changes_the_record(self, monkeypatch):
         whole = sharded_robustness_point(16, trials=4)
-        chunked = sharded_robustness_point(16, trials=4, trial_chunk=1)
-        assert whole == chunked
+        clear_plan_cache()
+        # One batch row per noisy block on every chip.
+        monkeypatch.setattr(MemoryController, "read_chunk_elems", 1)
+        assert sharded_robustness_point(16, trials=4) == whole
 
 
 class TestRateProgressTrials:

@@ -5,7 +5,7 @@ combination, not just the benchmarked ones:
 
 * trial-batched noisy reads are bit-identical to the serial per-trial
   loop under fixed child-seed streams, for any geometry, mode, wear,
-  trial count and trial chunking;
+  trial count and trial window;
 * the programmed-plan cache never leaks state between points: any
   interleaving of sweep points evaluated against a warm cache yields
   byte-identical records to cold, isolated evaluations.
@@ -40,8 +40,9 @@ def test_trial_batched_reads_equal_per_trial_loop(rows, cols, mode, seed,
                        for r in trial_streams(seed, trials)])
     assert np.array_equal(batched, serial)
 
-    errors = read_bit_errors(array, bits, trial_streams(seed, trials),
-                             trial_chunk)
+    if trial_chunk is not None:         # windows of trial_chunk trials
+        array.read_chunk_elems = trial_chunk * bits.size
+    errors = read_bit_errors(array, bits, trial_streams(seed, trials))
     assert np.array_equal(errors,
                           (serial != bits[None]).sum(axis=(1, 2)))
 

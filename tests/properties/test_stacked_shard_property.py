@@ -5,7 +5,7 @@ program-time stacked plan (one batched kernel over grid-aligned, OR-merged
 shard words), the zero-sigma physical sharded path (``fast_path=False``,
 real per-shard arrays) and the monolithic controller produce identical
 integer popcounts and meters — including ``popcounts_trials`` for any
-trial chunking — and the word-domain column slicer equals a bit-domain
+read budget (trial windows and row blocks) — and the word-domain column slicer equals a bit-domain
 slice-then-pack for any (start, stop) range.
 """
 
@@ -26,6 +26,13 @@ MACRO_DIMS = st.sampled_from([1, 3, 7, 8, 13, 16, 64, 256])
 def _bits(seed, *shape):
     return np.random.default_rng(seed).integers(0, 2, shape) \
         .astype(np.uint8)
+
+
+def _set_read_budget(budget, *controllers):
+    """Shrink the read windows of sharded controllers and their chips."""
+    for controller in controllers:
+        for ctrl in (controller, *controller.shards):
+            ctrl.read_chunk_elems = budget
 
 
 def _controllers(weights, macro_rows, macro_cols):
@@ -60,22 +67,22 @@ class TestStackedEquivalenceProperty:
     @given(out_features=DIMS, in_features=DIMS, macro_rows=MACRO_DIMS,
            macro_cols=MACRO_DIMS, n=st.integers(1, 3),
            n_trials=st.integers(1, 4),
-           trial_chunk=st.sampled_from([1, 2, 3, None]),
+           budget=st.sampled_from([1, 64, 512, None]),
            per_trial=st.booleans(), seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
     def test_popcounts_trials_chunk_invariant_equivalence(
             self, out_features, in_features, macro_rows, macro_cols, n,
-            n_trials, trial_chunk, per_trial, seed):
+            n_trials, budget, per_trial, seed):
         weights = _bits(seed, out_features, in_features)
         shape = (n_trials, n, in_features) if per_trial \
             else (n, in_features)
         x = _bits(seed + 1, *shape)
         stacked, reference, mono = _controllers(weights, macro_rows,
                                                 macro_cols)
-        a = stacked.popcounts_trials(x, trial_streams(7, n_trials),
-                                     trial_chunk=trial_chunk)
-        b = reference.popcounts_trials(x, trial_streams(7, n_trials),
-                                       trial_chunk=trial_chunk)
+        if budget is not None:
+            _set_read_budget(budget, stacked, reference)
+        a = stacked.popcounts_trials(x, trial_streams(7, n_trials))
+        b = reference.popcounts_trials(x, trial_streams(7, n_trials))
         assert np.array_equal(a, b)
         serial = np.stack([mono.popcounts(x[t] if per_trial else x)
                            for t in range(n_trials)])

@@ -7,7 +7,8 @@ from repro import nn
 from repro.nn.binary import (fold_batchnorm_output, fold_batchnorm_sign,
                              to_bits, xnor_popcount)
 from repro.rram import (AcceleratorConfig, DeviceParameters,
-                        MemoryController, RRAMArray, SenseParameters)
+                        MemoryController, RRAMArray, SenseParameters,
+                        trial_streams)
 from repro.runtime import RRAMBackend
 
 IDEAL = AcceleratorConfig(ideal=True)
@@ -39,36 +40,28 @@ class TestRRAMArray:
         # Fresh devices: BER ~1e-6, 256 bits should read back clean.
         assert np.array_equal(arr.read_all(), bits)
 
-    def test_xnor_read_matches_logic(self, rng):
-        arr = ideal_array(rng)
-        bits = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-        arr.program(bits)
-        inp = rng.integers(0, 2, 8).astype(np.uint8)
-        out = arr.read_all_xnor(inp)
-        expected = np.logical_not(np.logical_xor(bits, inp[None, :]))
-        assert np.array_equal(out, expected.astype(np.uint8))
-
-    def test_xnor_batch_matches_single(self, rng):
-        arr = ideal_array(rng)
-        bits = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-        arr.program(bits)
-        inputs = rng.integers(0, 2, (5, 8)).astype(np.uint8)
-        batch = arr.read_all_xnor_batch(inputs)
-        for i in range(5):
-            assert np.array_equal(batch[i], arr.read_all_xnor(inputs[i]))
+    def test_sense_override_reads_like_a_rebuilt_array(self, rng):
+        arr = RRAMArray(8, 8, rng=rng)
+        arr.program(rng.integers(0, 2, (8, 8)).astype(np.uint8))
+        noisy = SenseParameters(offset_sigma=2.0)
+        got = arr.read_all(np.random.default_rng(1), sense=noisy)
+        arr.sense = noisy
+        assert np.array_equal(got, arr.read_all(np.random.default_rng(1)))
+        arr.read_all_trials(trial_streams(0, 3))
+        assert arr.sense_ops == 5 * 64     # one per cell per read
 
     def test_decoder_bounds(self, rng):
         arr = ideal_array(rng)
-        arr.program(np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(IndexError):
-            arr.read_row(8)
+            arr.program_row(8, np.zeros(8, dtype=np.uint8))
         with pytest.raises(IndexError):
-            arr.read_row(0, cols=[9])
+            arr.program_row(0, [1], cols=[9])
 
     def test_reading_unprogrammed_raises(self, rng):
         arr = ideal_array(rng)
+        arr.program_row(0, np.zeros(8, dtype=np.uint8))
         with pytest.raises(RuntimeError):
-            arr.read_row(0)
+            arr.read_all()
 
     def test_program_counts_cycles(self, rng):
         arr = ideal_array(rng)
@@ -76,12 +69,6 @@ class TestRRAMArray:
         arr.program(bits)
         arr.program(bits)
         assert np.all(arr.cycles == 2)
-
-    def test_xnor_requires_2t2r(self, rng):
-        arr = ideal_array(rng, mode="1T1R")
-        arr.program(np.zeros((8, 8), dtype=np.uint8))
-        with pytest.raises(RuntimeError):
-            arr.read_all_xnor(np.zeros(8, dtype=np.uint8))
 
     def test_shape_validation(self, rng):
         arr = ideal_array(rng)

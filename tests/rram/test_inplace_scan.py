@@ -106,7 +106,7 @@ def test_array_reads_equal_stacked_formula(mode, sigma):
         array._margin_cache = _stress_margins((12, 20), rng)
     margin = array._read_margin()
     got = array.read_all_trials(trial_streams(5, 3))
-    offsets = np.stack([array.amplifiers.params.offset(r, (12, 20))
+    offsets = np.stack([array.sense.offset(r, (12, 20))
                         for r in trial_streams(5, 3)])
     want = (margin[None] + offsets > 0).astype(np.uint8)
     assert got.dtype == np.uint8

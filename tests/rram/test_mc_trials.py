@@ -82,8 +82,9 @@ class TestArrayTrialReads:
     @pytest.mark.parametrize("trial_chunk", [None, 1, 2, 5])
     def test_read_bit_errors_chunk_invariant(self, trial_chunk):
         array, bits = _programmed_array(wear=5 * 10 ** 8)
-        errors = read_bit_errors(array, bits, trial_streams(3, 5),
-                                 trial_chunk)
+        if trial_chunk is not None:     # windows of trial_chunk trials
+            array.read_chunk_elems = trial_chunk * bits.size
+        errors = read_bit_errors(array, bits, trial_streams(3, 5))
         reference = np.array([(array.read_all(rng=r) != bits).sum()
                               for r in trial_streams(3, 5)])
         assert np.array_equal(errors, reference)
@@ -95,12 +96,14 @@ class TestArrayTrialReads:
 
 
 class TestControllerTrialScans:
-    @pytest.mark.parametrize("trial_chunk", [None, 1, 3])
-    def test_batched_equals_per_trial_loop(self, trial_chunk):
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_batched_equals_per_trial_loop(self, rows_per_block):
         _, hw = _dense_hw()
         x = np.random.default_rng(9).integers(0, 2, (7, 50)).astype(np.uint8)
-        batched = hw.forward_bits_trials(x, trial_streams(21, 5),
-                                         trial_chunk=trial_chunk)
+        if rows_per_block is not None:
+            hw.controller.read_chunk_elems = \
+                rows_per_block * hw.controller._stacked_margins().size
+        batched = hw.forward_bits_trials(x, trial_streams(21, 5))
         serial = np.stack([hw.forward_bits_trials(x, [r])[0]
                            for r in trial_streams(21, 5)])
         assert np.array_equal(batched, serial)

@@ -17,6 +17,16 @@ from repro.rram import (AcceleratorConfig, DeviceParameters, LayerPlacement,
                         ShardedController, shard_streams, trial_streams)
 
 
+def _set_read_budget(budget, *controllers):
+    """Shrink the read windows of sharded controllers and their chips
+    (``None`` keeps the default budget), so scans run several trial
+    windows and row blocks."""
+    for controller in controllers:
+        for ctrl in (controller, *controller.shards):
+            if budget is not None:
+                ctrl.read_chunk_elems = budget
+
+
 def _noise_free_config() -> AcceleratorConfig:
     device = DeviceParameters(sigma_lrs0=0.0, sigma_hrs0=0.0,
                               broadening=0.0, hrs_drift=0.0,
@@ -117,12 +127,12 @@ class TestNoisyTrials:
                            for stream in trial_streams(7, 5)])
         assert np.array_equal(batched, serial)
 
-    @pytest.mark.parametrize("trial_chunk", [1, 2, 3, None])
+    @pytest.mark.parametrize("budget", [1, 300, 9000, None])
     def test_trial_chunk_never_changes_results(self, sharded, x_bits,
-                                               trial_chunk):
+                                               budget):
         expected = sharded.popcounts_trials(x_bits, trial_streams(7, 5))
-        chunked = sharded.popcounts_trials(x_bits, trial_streams(7, 5),
-                                           trial_chunk=trial_chunk)
+        _set_read_budget(budget, sharded)
+        chunked = sharded.popcounts_trials(x_bits, trial_streams(7, 5))
         assert np.array_equal(expected, chunked)
 
     def test_per_trial_activations_accepted(self, sharded, rng):
@@ -239,36 +249,34 @@ class TestStackedPlan:
         assert stacked.popcounts(empty).shape == (0, 37)
         assert reference.popcounts(empty).shape == (0, 37)
 
-    @pytest.mark.parametrize("trial_chunk", [1, 2, 3, None])
-    def test_trials_shared_activations(self, weights, x_bits, trial_chunk):
+    @pytest.mark.parametrize("budget", [1, 300, 9000, None])
+    def test_trials_shared_activations(self, weights, x_bits, budget):
         stacked, reference = self._pair(weights, (7, 13))
-        a = stacked.popcounts_trials(x_bits, trial_streams(7, 5),
-                                     trial_chunk=trial_chunk)
-        b = reference.popcounts_trials(x_bits, trial_streams(7, 5),
-                                       trial_chunk=trial_chunk)
+        _set_read_budget(budget, stacked, reference)
+        a = stacked.popcounts_trials(x_bits, trial_streams(7, 5))
+        b = reference.popcounts_trials(x_bits, trial_streams(7, 5))
         assert np.array_equal(a, b)
         assert np.array_equal(a[0], stacked.popcounts(x_bits))
 
-    @pytest.mark.parametrize("trial_chunk", [1, 2, 3, None])
-    def test_trials_per_trial_activations(self, weights, rng, trial_chunk):
+    @pytest.mark.parametrize("budget", [1, 300, 9000, None])
+    def test_trials_per_trial_activations(self, weights, rng, budget):
         stacked, reference = self._pair(weights, (7, 13))
+        _set_read_budget(budget, stacked, reference)
         x = rng.integers(0, 2, (5, 9, 131)).astype(np.uint8)
-        a = stacked.popcounts_trials(x, trial_streams(7, 5),
-                                     trial_chunk=trial_chunk)
-        b = reference.popcounts_trials(x, trial_streams(7, 5),
-                                       trial_chunk=trial_chunk)
+        a = stacked.popcounts_trials(x, trial_streams(7, 5))
+        b = reference.popcounts_trials(x, trial_streams(7, 5))
         assert np.array_equal(a, b)
         serial = np.stack([stacked.popcounts(x[t]) for t in range(5)])
         assert np.array_equal(a, serial)
 
     def test_meters_match_reference_exactly(self, weights, x_bits, rng):
         stacked, reference = self._pair(weights, (8, 16))
+        per_trial = rng.integers(0, 2, (3, 9, 131)).astype(np.uint8)
         for ctrl in (stacked, reference):
             ctrl.popcounts(x_bits)
             ctrl.popcounts_trials(x_bits, trial_streams(7, 4))
-            ctrl.popcounts_trials(
-                rng.integers(0, 2, (3, 9, 131)).astype(np.uint8),
-                trial_streams(7, 3), trial_chunk=2)
+            _set_read_budget(300, ctrl)
+            ctrl.popcounts_trials(per_trial, trial_streams(7, 3))
         assert stacked.sense_ops == reference.sense_ops
         assert stacked.popcount_bit_ops == reference.popcount_bit_ops
 

@@ -6,8 +6,10 @@ import pytest
 
 from repro.experiments import evaluate_compiled
 from repro.models import BinarizationMode, ECGNet
-from repro.rram import AcceleratorConfig, SenseParameters, trial_streams
-from repro.runtime import RRAMBackend, compile as compile_model
+from repro.rram import (AcceleratorConfig, MacroGeometry, SenseParameters,
+                        trial_streams)
+from repro.runtime import (RRAMBackend, ShardedRRAMBackend,
+                           compile as compile_model)
 from repro.tensor import Tensor, no_grad
 
 
@@ -54,13 +56,32 @@ class TestScoresTrials:
                 x, [stream])[0])
         assert np.array_equal(batched, np.stack(serial))
 
-    def test_trial_chunk_invariant(self, model_and_inputs):
+    @pytest.mark.parametrize("trial_chunk", [1, 2, 4])
+    @pytest.mark.parametrize("backend", [
+        _noisy_backend,
+        lambda: ShardedRRAMBackend(AcceleratorConfig(
+            sense=SenseParameters(offset_sigma=0.4)),
+            macro=MacroGeometry(8, 16), fast_path=False),
+        lambda: RRAMBackend(AcceleratorConfig(), ecc="secded",
+                            fast_path=False)], ids=["rram", "sharded", "ecc"])
+    def test_trial_chunk_invariant(self, model_and_inputs, backend,
+                                   trial_chunk):
+        """Plan-level trial windows are the only ``trial_chunk``: the
+        windowed stack and its meters equal the unchunked ones."""
         model, inputs = model_and_inputs
-        plan = compile_model(model, backend=_noisy_backend())
+        plan = compile_model(model, backend=backend())
+
+        def sense_ops():
+            return sum(op.executor.controller.sense_ops
+                       for op in plan.layer_ops)
+
+        before = sense_ops()
         wide = plan.scores_trials(inputs, trials=4, seed=2)
+        wide_ops = sense_ops() - before
         narrow = plan.scores_trials(inputs, trials=4, seed=2,
-                                    trial_chunk=1)
+                                    trial_chunk=trial_chunk)
         assert np.array_equal(wide, narrow)
+        assert sense_ops() - before == 2 * wide_ops > 0
 
     def test_deterministic_backends_broadcast(self, model_and_inputs):
         model, inputs = model_and_inputs

@@ -264,12 +264,20 @@ class TestHttpFront:
         finally:
             front.shutdown(drain=True)
 
+    def test_idle_front_starts_and_shuts_down_fast(self):
+        server = _server(window=0.0)
+        start = time.monotonic()
+        front = HttpFront(server, port=0).start()
+        front.shutdown(drain=True)
+        assert time.monotonic() - start < 0.2
+        assert not server.executor_alive
+
     def test_dead_executor_fails_probe_and_requests_at_once(
             self, monkeypatch):
         """An executor killed outside a plan evaluation (here a raising
-        ``batcher.flush``) must not pass for healthy: the probe answers a
-        distinct 503 and new requests get a prompt 503, not a 504 after
-        ``request_timeout``."""
+        ``batcher.flush``) must not pass for healthy: the request it was
+        serving and every new one get a prompt 503, not a 504 after
+        ``request_timeout``, and the probe answers a distinct 503."""
         uncaught = []
         monkeypatch.setattr(threading, "excepthook", uncaught.append)
         server = _server(window=0.0)
@@ -280,7 +288,13 @@ class TestHttpFront:
         monkeypatch.setattr(server._batcher, "flush", broken_flush)
         front = HttpFront(server, port=0, request_timeout=30.0).start()
         try:
-            server.submit(np.ones((1, 3)))               # kills the executor
+            client = ServeClient(front.url)
+            start = time.monotonic()
+            with pytest.raises(ServeHTTPError) as info:
+                client.predict(np.ones((1, 3)))          # kills the executor
+            assert info.value.status == 503
+            assert time.monotonic() - start < 1.0
+            assert not server._handles
             deadline = time.monotonic() + 10.0
             while not uncaught and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -294,7 +308,6 @@ class TestHttpFront:
             assert json.loads(info.value.read()) == {
                 "status": "executor_dead"}
 
-            client = ServeClient(front.url)
             start = time.monotonic()
             with pytest.raises(ServeHTTPError) as info:
                 client.predict(np.ones((1, 3)))

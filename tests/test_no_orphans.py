@@ -2,17 +2,18 @@
 
 Every public top-level ``def``/``class`` in ``src/repro`` must be used by
 production code: either by a ``Name``/``Attribute`` node in its own module
-outside its own definition, or by a word match in another non-test
-``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
-``perfbench/``. Package ``__init__`` files hold only re-exports, so they
-do not count as uses. A symbol that fails both checks is either deleted
+outside its own definition, or by code in another non-test ``.py`` file
+under ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` (a
+``Name`` or ``Attribute``, an imported name, or a string constant that is
+a bare identifier, like the CLI registry's ``runner="run_fig4"``).
+Docstrings and comments do not count. Package ``__init__`` files hold
+only re-exports, so they do not count as uses. A symbol that fails both checks is either deleted
 or wired into a workload; only the short allowlist below is exempt.
 """
 
 import ast
 import collections
 import functools
-import re
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,6 @@ ALLOWED = {
     "Tanh": "repro/nn/activations.py",
 }
 
-_WORD = re.compile(r"\w+")
-
-
 def _public_definitions(tree):
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -57,14 +55,32 @@ def _name_uses(node):
     return uses
 
 
+def _code_words(tree):
+    """Names the code of ``tree`` uses: ``Name`` ids, ``Attribute``
+    attrs, imported names and string constants that are a bare
+    identifier (a docstring is never one)."""
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, str) and node.value.isidentifier():
+            words.add(node.value)
+    return words
+
+
 def _caller_words(root):
-    """Word set of every non-test, non-``__init__`` caller file."""
+    """Code-word set of every non-test, non-``__init__`` caller file."""
     words = {}
     for directory in CALLER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            words[path] = set(_WORD.findall(path.read_text()))
+            words[path] = _code_words(ast.parse(path.read_text()))
     return words
 
 
@@ -142,6 +158,18 @@ class TestAudit:
             tmp_path, "class Shown:\n    pass\n",
             [("src/repro/__init__.py", "from repro.lib import Shown\n")],
         ) == {"repro/lib.py:Shown"}
+
+    def test_a_registry_string_counts(self, tmp_path):
+        assert not self._tree(
+            tmp_path, "def run_demo():\n    pass\n",
+            [("src/repro/registry.py", 'RUNNER = "run_demo"\n')])
+
+    def test_a_docstring_or_comment_mention_is_not_a_use(self, tmp_path):
+        assert self._tree(
+            tmp_path, "def mentioned():\n    pass\n",
+            [("examples/demo.py",
+              '"""See mentioned() for details."""\n# mentioned\n')],
+        ) == {"repro/lib.py:mentioned"}
 
     def test_a_test_caller_is_not_a_use(self, tmp_path):
         assert self._tree(
