@@ -15,9 +15,11 @@ Three families of packed kernels live here:
 
 * dense — :class:`PackedBinaryDense` (hidden, sign-activated) and
   :class:`PackedOutputDense` (final affine/argmax layer);
-* standard convolutions — :class:`PackedBinaryConv1d` /
-  :class:`PackedBinaryConv2d` lower the receptive fields to bit-packed
-  im2col patches and run them through :func:`packed_xnor_popcount`;
+* standard convolutions — :class:`PackedBinaryConv1d` builds each
+  receptive field's patch words by shift-or from per-position channel
+  words (no unpacked patch ever exists), :class:`PackedBinaryConv2d`
+  packs bit-level im2col patches; both count disagreements with
+  :func:`packed_xor_counts`;
 * depthwise convolutions — :class:`PackedBinaryConv2d` with a
   ``depthwise`` fold uses a *bit-sliced* kernel: feature maps are packed
   channel-major (64 channels per word), tap disagreements accumulate in
@@ -40,7 +42,7 @@ import numpy as np
 
 from repro.nn.binary import (FoldedBinaryDense, FoldedOutputDense,
                              threshold_bits)
-from repro.tensor.im2col import im2col_1d, im2col_2d
+from repro.tensor.im2col import im2col_2d
 
 __all__ = ["WORD_BITS", "pack_bits", "unpack_bits", "pad_correction",
            "packed_column_slice", "packed_xnor_popcount",
@@ -476,23 +478,41 @@ class PackedOutputDense:
 
 
 # ---------------------------------------------------------------------------
-# Standard convolutions: bit-packed im2col
+# Standard convolutions
 # ---------------------------------------------------------------------------
 class PackedBinaryConv1d:
     """A folded binary 1-D convolution over the packed kernel.
 
-    Lowers each receptive field to a bit-packed im2col row (the strided
-    window view costs nothing; packing runs through
-    :func:`numpy.packbits`), then one :func:`packed_xnor_popcount` computes
-    every (position, output channel) pair.  Weight words and the integer
-    disagreement thresholds are prepared once at construction.
+    Builds each receptive field's patch words by shift-or, never
+    unpacking: every input position's ``C_in`` bits are ORed into channel
+    words once, and patch word bits ``[C_in*k, C_in*(k+1))`` are tap
+    ``k``'s channel word shifted into place (pieces funnel across word
+    boundaries when ``C_in`` or the fan-in exceeds 64).  The patch is thus
+    laid out k-major, so the weight bits are permuted to k-major once, at
+    construction; then one :func:`packed_xor_counts` computes every
+    (position, output channel) pair and :class:`_IntegerThreshold` applies
+    the folded batch-norm.
     """
 
     def __init__(self, folded):
         self.folded = folded
-        self.weight_words = pack_bits(folded.weight_bits)
+        c_in, kernel = folded.in_channels, folded.kernel_size
+        k_major = np.asarray(folded.weight_bits).reshape(
+            -1, c_in, kernel).transpose(0, 2, 1)
+        self.weight_words = pack_bits(k_major.reshape(-1, folded.fan_in))
         self._threshold = _IntegerThreshold(folded.theta, folded.gamma_sign,
                                             folded.beta_sign, folded.fan_in)
+        # Channel word w of tap k lands at patch bit C_in*k + 64*w: word
+        # ``word``, left-shifted by ``shift``; its high bits spill into the
+        # next word (right-shifted by 64 - shift) when they cross the edge.
+        self._pieces = []
+        for k in range(kernel):
+            for w in range(-(-c_in // _WORD)):
+                word, shift = divmod(c_in * k + _WORD * w, _WORD)
+                spill = shift + min(_WORD, c_in - _WORD * w) > _WORD
+                self._pieces.append(
+                    (k, w, word, np.uint64(shift),
+                     np.uint64(_WORD - shift) if spill else None))
 
     def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
         """``(N, C_in, L)`` bits -> ``(N, C_out, L_out)`` bits."""
@@ -501,13 +521,46 @@ class PackedBinaryConv1d:
         if x_bits.ndim != 3 or x_bits.shape[1] != f.in_channels:
             raise ValueError(
                 f"expected (N, {f.in_channels}, L) bits, got {x_bits.shape}")
+        if x_bits.size and x_bits.max() > 1:
+            raise ValueError("bits must be 0/1")
         n, _, length = x_bits.shape
         l_out = f.output_length(length)
-        patches = im2col_1d(x_bits, f.kernel_size, f.stride).reshape(
-            n * l_out, f.fan_in)
-        counts = packed_xor_counts(pack_bits(patches), self.weight_words)
+        patches = self._patch_words(self._channel_words(x_bits), l_out)
+        counts = packed_xor_counts(
+            patches.reshape(len(patches), n * l_out).T, self.weight_words)
         out = self._threshold.apply(counts)
         return out.reshape(n, l_out, f.out_channels).transpose(0, 2, 1)
+
+    @staticmethod
+    def _channel_words(x_bits: np.ndarray) -> np.ndarray:
+        """``(N, C, L)`` bits -> ``(ceil(C/64), N, L)`` channel words,
+        channel ``c`` at bit ``c % 64`` of word ``c // 64``."""
+        n, channels, length = x_bits.shape
+        words = np.empty((-(-channels // _WORD), n, length), dtype=np.uint64)
+        for w, first in enumerate(range(0, channels, _WORD)):
+            count = min(_WORD, channels - first)
+            # OR in the narrowest type that holds the word's channels.
+            dtype = np.min_scalar_type((1 << count) - 1)
+            word = x_bits[:, first].astype(dtype)
+            for c in range(1, count):
+                word |= x_bits[:, first + c].astype(dtype) << dtype.type(c)
+            words[w] = word
+        return words
+
+    def _patch_words(self, channel_words: np.ndarray,
+                     l_out: int) -> np.ndarray:
+        """``(ceil(fan_in/64), N, L_out)`` k-major patch words: bit
+        ``C_in*k + c`` is channel ``c`` at position ``t*stride + k``."""
+        f = self.folded
+        span = f.stride * (l_out - 1) + 1
+        patches = np.zeros((self.weight_words.shape[1],
+                            channel_words.shape[1], l_out), dtype=np.uint64)
+        for k, w, word, shift, spill in self._pieces:
+            piece = channel_words[w, :, k:k + span:f.stride]
+            patches[word] |= piece << shift
+            if spill is not None:
+                patches[word + 1] |= piece >> spill
+        return patches
 
     def __repr__(self) -> str:
         f = self.folded

@@ -15,11 +15,13 @@ without running full device Monte-Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.nn.binary import FoldedBinaryDense, FoldedOutputDense
 from repro.rram.device import DeviceParameters
+from repro.rram.mc import READ_CHUNK_ELEMS, trial_chunks
 from repro.rram.sense import SenseParameters
 
 __all__ = ["EnduranceExperiment", "EnduranceResult", "inject_bit_errors",
@@ -56,7 +58,7 @@ class EnduranceExperiment:
     checkpoint, re-spawned into one stream per draw site (BL/BLb
     resistances, BL/BLb single-ended offsets, PCSA offset).  Because
     numpy normal draws are split-stable per stream, the trial axis is
-    evaluated in windows bounded by ``READ_CHUNK_ELEMS`` with results
+    evaluated in windows bounded by ``read_chunk_elems`` with results
     bit-identical for every window size — the same contract the
     trial-batched array reads obey.
     """
@@ -70,10 +72,10 @@ class EnduranceExperiment:
 
     #: ~doubles drawn per trial per checkpoint (sizes the default window)
     _ELEMS_PER_TRIAL = 8
+    #: draw budget per trial window, bound at import like the arrays'
+    read_chunk_elems: ClassVar[int] = READ_CHUNK_ELEMS
 
     def run(self) -> EnduranceResult:
-        from repro.rram.mc import READ_CHUNK_ELEMS, trial_chunks
-
         ref = np.log(self.device.reference_resistance)
         ber_bl = np.empty(len(self.checkpoints))
         ber_blb = np.empty(len(self.checkpoints))
@@ -93,7 +95,7 @@ class EnduranceExperiment:
             err_bl = err_blb = err_2t = 0
             for start, stop in trial_chunks(self.trials,
                                             self._ELEMS_PER_TRIAL,
-                                            READ_CHUNK_ELEMS):
+                                            self.read_chunk_elems):
                 window = stored[start:stop]
                 # Program: BL holds LRS iff weight == 1, BLb the
                 # complement.

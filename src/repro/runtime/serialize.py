@@ -28,7 +28,9 @@ front-ends
 transforms
     ``max_pool1d``, ``flatten``, ``two_row_lookup`` (pre-classifier
     batch-norm + sign over known ±1 inputs), ``avg_pool_bridge`` (the
-    EEG periphery: ±1 avg-pool + flatten + batch-norm + sign).
+    EEG periphery: ±1 avg-pool + flatten + batch-norm + sign, run as a
+    lookup of each window's count of ones in a bit table the library
+    modules fill at build time).
 layers
     ``dense``, ``conv1d``, ``conv2d``, ``output`` — the folded forms.
 """
@@ -251,19 +253,32 @@ def _transform_two_row_lookup(params: dict, arrays: dict):
 
 
 def _transform_avg_pool_bridge(params: dict, arrays: dict):
-    pool = AvgPool1d(int(params["pool_kernel"]), int(params["pool_stride"]))
+    kernel, stride = int(params["pool_kernel"]), int(params["pool_stride"])
+    pool = AvgPool1d(kernel, stride)
     pre = Sequential(_rebuild_batchnorm(BatchNorm1d, params, arrays), Sign())
     pre.eval()
+    # (N, F, T', 1) bits -> ±1 -> overlapping avg-pool -> flatten ->
+    # pre-classifier batch-norm + sign.  A window's ±1 sum is an exact
+    # integer, so its average -- and every bit after it -- depends only
+    # on how many ones it holds: table[f, c] is output feature f's bit
+    # for a window of c ones, computed once by these very modules.
+    n_features = int(params["bn_features"])
+    ones = np.arange(kernel) < np.arange(kernel + 1)[:, None]
+    with no_grad():
+        pooled = pool(Tensor(np.where(ones, 1.0, -1.0)[:, None, :]))
+        features = np.repeat(pooled.data.reshape(kernel + 1, 1), n_features,
+                             axis=1)
+        table = to_bits(pre(Tensor(features)).data).T.ravel()
+    offsets = np.arange(n_features) * (kernel + 1)
 
     def run(bits: np.ndarray) -> np.ndarray:
-        # (N, F, T', 1) bits -> ±1 -> overlapping avg-pool -> flatten ->
-        # pre-classifier batch-norm + sign.  The averaging pool needs real
-        # arithmetic, so this stage lives in the digital periphery.
-        pm1 = np.where(bits != 0, 1.0, -1.0).reshape(bits.shape[:3])
-        with no_grad():
-            h = pool(Tensor(pm1))
-            h = pre(h.flatten_from(1))
-        return to_bits(h.data)
+        n, channels, length = bits.shape[:3]
+        cumulative = np.zeros((n, channels, length + 1), dtype=np.int32)
+        np.cumsum(bits.reshape(n, channels, length) != 0, axis=2,
+                  out=cumulative[:, :, 1:])
+        starts = np.arange(0, length - kernel + 1, stride)
+        counts = cumulative[:, :, starts + kernel] - cumulative[:, :, starts]
+        return table[offsets + counts.reshape(n, n_features)]
 
     return run, "avg-pool + flatten + pre-classifier (periphery)"
 

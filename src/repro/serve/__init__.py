@@ -20,7 +20,6 @@ front door.
 """
 
 from repro.serve.batcher import BatchSlice, Flush, MicroBatcher
-from repro.serve.client import ServeClient, ServeHTTPError, fire
 from repro.serve.server import (HttpFront, PlanServer, QueueFull,
                                 ServeRequest, ServerClosed, UnknownModel)
 from repro.serve.stats import ServeStats, render_tenant_table
@@ -41,3 +40,12 @@ __all__ = [
     "ServeHTTPError",
     "fire",
 ]
+
+
+def __getattr__(name: str):
+    # The client resolves on first use: imported eagerly here, it would be
+    # half-imported already when ``python -m repro.serve.client`` runs it.
+    if name in ("ServeClient", "ServeHTTPError", "fire"):
+        from repro.serve import client
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

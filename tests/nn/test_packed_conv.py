@@ -1,10 +1,10 @@
 """Packed convolution kernels vs the folded reference — bit-exactness.
 
-Satellite contract: the ``packed`` backend's conv path (bit-packed im2col
-for standard convolutions, bit-sliced channel-major kernels for depthwise)
-agrees bit-for-bit with the folded integer reference on random conv
-blocks, across ragged channel counts, strides, and degenerate batch-norm
-channels (``gamma == 0``).
+The ``packed`` backend's conv paths (shift-or patch words for 1-D
+convolutions, bit-packed im2col for standard 2-D ones, bit-sliced
+channel-major kernels for depthwise) agree bit-for-bit with the folded
+integer reference on random conv blocks, across ragged channel counts,
+strides, and degenerate batch-norm channels (``gamma == 0``).
 """
 
 import numpy as np
@@ -35,10 +35,10 @@ class TestPackedConv1d:
     @given(st.integers(0, 10_000))
     def test_random_blocks_bit_exact(self, seed):
         rng = np.random.default_rng(seed)
-        c_in = int(rng.integers(1, 70))
+        c_in = int(rng.integers(1, 140))
         c_out = int(rng.integers(1, 20))
         kernel = int(rng.integers(1, 8))
-        stride = int(rng.integers(1, 3))
+        stride = int(rng.integers(1, 4))
         length = kernel + int(rng.integers(0, 30))
         conv = nn.BinaryConv1d(c_in, c_out, kernel, stride=stride, rng=rng)
         folded = fold_conv1d_batchnorm_sign(conv, _fitted_bn(c_out, rng))
@@ -59,6 +59,73 @@ class TestPackedConv1d:
             fold_conv1d_batchnorm_sign(conv, _fitted_bn(4, rng)))
         with pytest.raises(ValueError, match="expected"):
             packed.forward_bits(np.zeros((2, 5, 10), dtype=np.uint8))
+
+
+def _conv1d_pair(rng, c_in, c_out, kernel, stride=1):
+    conv = nn.BinaryConv1d(c_in, c_out, kernel, stride=stride, rng=rng)
+    folded = fold_conv1d_batchnorm_sign(conv, _fitted_bn(c_out, rng))
+    return folded, PackedBinaryConv1d(folded)
+
+
+class TestShiftOrPatches:
+    """Edges of the shift-or patch words: pieces that fill a word exactly
+    or straddle two, channel words wider than one word, strides, and
+    degenerate batch shapes."""
+
+    @pytest.mark.parametrize("c_in,kernel", [
+        (4, 16), (8, 8), (64, 1),          # fan-in exactly 64
+        (5, 13), (13, 5), (65, 1),         # fan-in 65: one bit spills
+    ])
+    def test_fan_in_at_the_word_edge(self, rng, c_in, kernel):
+        folded, packed = _conv1d_pair(rng, c_in, 6, kernel)
+        assert packed.weight_words.shape[1] == -(-c_in * kernel // 64)
+        x = rng.integers(0, 2, (3, c_in, kernel + 9)).astype(np.uint8)
+        assert np.array_equal(packed.forward_bits(x), folded.forward_bits(x))
+
+    @pytest.mark.parametrize("c_in", [64, 65, 130])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_straddling_channel_words(self, rng, c_in, kernel):
+        folded, packed = _conv1d_pair(rng, c_in, 5, kernel)
+        x = rng.integers(0, 2, (2, c_in, kernel + 6)).astype(np.uint8)
+        assert np.array_equal(packed.forward_bits(x), folded.forward_bits(x))
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    @pytest.mark.parametrize("c_in,kernel", [(4, 11), (7, 10), (33, 3)])
+    def test_strides(self, rng, stride, c_in, kernel):
+        folded, packed = _conv1d_pair(rng, c_in, 4, kernel, stride)
+        for length in (kernel, kernel + stride - 1, kernel + 20):
+            x = rng.integers(0, 2, (3, c_in, length)).astype(np.uint8)
+            got = packed.forward_bits(x)
+            assert got.shape == (3, 4, folded.output_length(length))
+            assert np.array_equal(got, folded.forward_bits(x))
+
+    def test_single_output_position(self, rng):
+        folded, packed = _conv1d_pair(rng, 9, 4, 8)
+        x = rng.integers(0, 2, (5, 9, 8)).astype(np.uint8)
+        got = packed.forward_bits(x)
+        assert got.shape == (5, 4, 1)
+        assert np.array_equal(got, folded.forward_bits(x))
+
+    def test_empty_batch(self, rng):
+        _, packed = _conv1d_pair(rng, 4, 3, 5)
+        got = packed.forward_bits(np.zeros((0, 4, 20), dtype=np.uint8))
+        assert got.shape == (0, 3, 16)
+
+    def test_non_contiguous_input_view(self, rng):
+        folded, packed = _conv1d_pair(rng, 6, 4, 5)
+        base = rng.integers(0, 2, (4, 30, 12)).astype(np.uint8)
+        x = base.transpose(0, 2, 1)[::2, :6, ::2]     # (2, 6, 15) view
+        assert not x.flags.c_contiguous
+        assert np.array_equal(packed.forward_bits(x),
+                              folded.forward_bits(np.ascontiguousarray(x)))
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_non_bit_input_raises(self, rng, value):
+        _, packed = _conv1d_pair(rng, 4, 3, 5)
+        x = rng.integers(0, 2, (2, 4, 12)).astype(np.uint8)
+        x[1, 3, 7] = value
+        with pytest.raises(ValueError, match="0/1"):
+            packed.forward_bits(x)
 
 
 class TestPackedConv2dStandard:

@@ -1,5 +1,7 @@
 """Endurance experiment, fault injection, Hamming ECC, energy model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ class TestEnduranceExperiment:
         res = EnduranceExperiment(trials=300_000, seed=1).run()
         assert np.all(res.ber_2t2r <= res.ber_1t1r_bl)
         assert np.all(res.ber_2t2r <= res.ber_1t1r_blb)
+
+    def test_window_budget_leaves_results_bit_identical(self, monkeypatch):
+        # One budget knob, bound at import like the arrays' and the
+        # controllers': a class attribute, not a field or an argument.
+        names = {f.name for f in dataclasses.fields(EnduranceExperiment)}
+        assert "read_chunk_elems" not in names
+        with pytest.raises(TypeError):
+            EnduranceExperiment(read_chunk_elems=8)
+        exp = EnduranceExperiment(trials=5_001, seed=7,
+                                  checkpoints=np.array([2e8, 6e8]))
+        whole = exp.run()
+        # 37 trials per window: a ragged last window at every checkpoint.
+        monkeypatch.setattr(EnduranceExperiment, "read_chunk_elems",
+                            37 * EnduranceExperiment._ELEMS_PER_TRIAL)
+        windowed = exp.run()
+        for field in dataclasses.fields(whole):
+            assert np.array_equal(getattr(windowed, field.name),
+                                  getattr(whole, field.name)), field.name
+        assert whole.ber_1t1r_bl.max() > 0
 
     def test_rows_format(self):
         res = EnduranceExperiment(

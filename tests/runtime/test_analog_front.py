@@ -15,7 +15,7 @@ import pytest
 from repro.io import load_compiled, load_plan
 from repro.nn.binary import to_bits
 from repro.nn.norm import BatchNorm1d
-from repro.runtime import PlanSerializationError, serialize
+from repro.runtime import PlanSerializationError, analog_front, serialize
 from repro.runtime.analog_front import bn_sign_threshold
 from repro.runtime.serialize import build_front_end
 from repro.tensor import Tensor, no_grad
@@ -62,24 +62,44 @@ def _one_tap_ecg(bn_params, bn_arrays):
     return {"op": "conv1d_front", "params": params}, arrays
 
 
-@pytest.fixture
-def spy(monkeypatch):
-    """Count the rows each reference closure is asked to recompute."""
-    calls = []
-
+def _spy_on_references(monkeypatch, record):
+    """Wrap the reference builders so every recompute is ``record``-ed."""
     def wrap(builder):
         def build(params, arrays):
             reference = builder(params, arrays)
 
             def run(inputs):
-                calls.append(len(inputs))
+                record(inputs)
                 return reference(inputs)
             return run
         return build
 
     for name in ("_reference_conv1d", "_reference_conv2d"):
         monkeypatch.setattr(serialize, name, wrap(getattr(serialize, name)))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Count the rows each reference closure is asked to recompute."""
+    calls = []
+    _spy_on_references(monkeypatch, lambda inputs: calls.append(len(inputs)))
     return calls
+
+
+@pytest.fixture
+def redone(monkeypatch):
+    """The very rows each reference closure is asked to recompute."""
+    calls = []
+    _spy_on_references(monkeypatch,
+                       lambda inputs: calls.append(np.array(inputs)))
+    return calls
+
+
+def _tile(spec, arrays, length):
+    """Rows per batch tile of an ECG front over windows of ``length``."""
+    c_out, _, kernel = arrays["weight_bits"].shape
+    padded = length + 2 * spec["params"]["padding"]
+    return max(1, analog_front._PARTIAL_BYTES // (8 * kernel * c_out * padded))
 
 
 class TestThresholdBisection:
@@ -185,6 +205,76 @@ class TestThresholdLanding:
             got, expected = front.run(x), reference(x)
         assert np.array_equal(got, expected)
         assert spy == [4]
+
+
+class TestBatchTiles:
+    """The ECG front runs its GEMM, shifted adds and threshold per batch
+    tile; every tile boundary must leave the bits of the untiled
+    reference intact, and guarded rows must be redone where they are."""
+
+    def test_fixture_batches_around_the_tile(self):
+        spec, arrays, shape = _fixture_front("ecg")
+        tile = _tile(spec, arrays, shape[1])
+        assert 2 <= tile < 256
+        front = build_front_end(spec, arrays)
+        reference = REFERENCE[spec["op"]](spec["params"], arrays)
+        for batch in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            x = np.random.default_rng(batch).standard_normal(
+                (batch,) + shape)
+            got = front.run(x)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert np.array_equal(got, reference(x)), batch
+
+    @pytest.mark.parametrize("stride,padding,pool", [
+        (1, 2, None), (2, 0, (2, 2)), (3, 4, (3, 1))])
+    def test_strided_padded_tiles(self, monkeypatch, stride, padding, pool):
+        rng = np.random.default_rng(stride)
+        c_in, c_out, kernel, length = 3, 5, 6, 41
+        params, bn_arrays = _bn(
+            rng.normal(0, 1, c_out), rng.normal(0, 1, c_out),
+            rng.normal(0, 2, c_out), rng.uniform(0.1, 4, c_out))
+        spec = {"op": "conv1d_front", "params": {
+            "in_channels": c_in, "stride": stride, "padding": padding,
+            "pool_kernel": pool and pool[0], "pool_stride": pool and pool[1],
+            "input_shape": [c_in, length], **params}}
+        arrays = {"weight_bits": rng.integers(0, 2, (c_out, c_in, kernel))
+                  .astype(np.uint8),
+                  "norm_mean": rng.normal(0, 1, c_in),
+                  "norm_std": rng.uniform(0.5, 2, c_in), **bn_arrays}
+        padded = length + 2 * padding
+        monkeypatch.setattr(analog_front, "_PARTIAL_BYTES",
+                            7 * 8 * kernel * c_out * padded)
+        assert _tile(spec, arrays, length) == 7
+        front = build_front_end(spec, arrays)
+        reference = REFERENCE["conv1d_front"](spec["params"], arrays)
+        for batch in (1, 6, 7, 8, 26):
+            x = rng.standard_normal((batch, c_in, length))
+            assert np.array_equal(front.run(x), reference(x))
+
+    def test_guarded_rows_in_first_and_last_tiles(self, monkeypatch,
+                                                  redone):
+        params, arrays = _bn([0.7], [0.3], [0.11], [0.5])
+        sign, t = bn_sign_threshold(
+            arrays["bn_mean"], arrays["bn_var"], arrays["bn_gamma"],
+            arrays["bn_beta"], params["bn_eps"])
+        edge = float(sign[0] * t[0])
+        spec, front_arrays = _one_tap_ecg(params, arrays)
+        monkeypatch.setattr(analog_front, "_PARTIAL_BYTES", 4 * 8)
+        assert _tile(spec, front_arrays, 1) == 4
+        front = build_front_end(spec, front_arrays)
+        reference = REFERENCE[spec["op"]](spec["params"], front_arrays)
+        x = edge + 1.0 + np.arange(17.0).reshape(17, 1, 1)
+        guarded = {0: edge, 1: np.nan,                        # first tile
+                   15: np.nextafter(edge, -np.inf), 16: 1e300}  # last
+        for row, value in guarded.items():
+            x[row] = value
+        expected = reference(x)
+        redone.clear()
+        with np.errstate(invalid="ignore"):
+            got = front.run(x)
+        assert np.array_equal(got, expected)
+        assert len(redone) == 1
+        np.testing.assert_array_equal(redone[0], x[sorted(guarded)])
 
 
 class TestWindowShapes:

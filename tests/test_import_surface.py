@@ -90,3 +90,15 @@ def test_daemon_boot():
     """)
     assert "repro.serve" in modules
     assert _forbidden(modules) == []
+
+
+def test_client_module_runs_without_a_reimport_warning():
+    """``python -m repro.serve.client`` must not find its own module
+    already imported by the ``repro.serve`` package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.serve.client", "--help"],
+        capture_output=True, text=True, env=env, cwd=str(ROOT), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
