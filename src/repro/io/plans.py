@@ -205,9 +205,49 @@ def load_plan(path, *, model: str | None = None) -> PlanArtifact:
             f"{path} was saved as plan-artifact format v{version}; this "
             f"repro build reads up to v{FORMAT_VERSION} — upgrade repro "
             "to load it")
+    _check_arrays(meta["ops"], arrays, path)
     return PlanArtifact(format_version=version,
                         repro_version=meta.get("repro_version", "unknown"),
                         ops=meta["ops"], arrays=arrays, meta=meta)
+
+
+def _check_arrays(ops: list[dict], arrays: dict, where) -> None:
+    """Refuse array values that would load and score without an error.
+
+    Front-end weight bits outside {0, 1}, non-finite batch-norm arrays
+    or a negative variance (NaN thresholds) on the front and on
+    ``avg_pool_bridge``, and output ``scale``/``offset`` whose length is
+    not the class count (they would broadcast) all change the scores
+    silently.  A refusal names ``where`` (the file), the op and the
+    array.  Missing arrays are left to the op builders.
+    """
+    for entry in ops:
+        index = entry["index"]
+
+        def refuse(name: str, why: str):
+            raise ValueError(f"{where}: op {index} ({entry['op']}) array "
+                             f"{name!r} {why}")
+
+        present = {name: np.asarray(arrays[f"op{index}.{name}"])
+                   for name in entry["arrays"]
+                   if f"op{index}.{name}" in arrays}
+        if entry["role"] == "front" and "weight_bits" in present:
+            if not np.isin(present["weight_bits"], (0, 1)).all():
+                refuse("weight_bits", "holds values outside {0, 1}")
+        if entry["role"] == "front" or entry["op"] == "avg_pool_bridge":
+            for name, values in present.items():
+                if not name.startswith("bn_"):
+                    continue
+                if not np.isfinite(values).all():
+                    refuse(name, "holds non-finite values")
+                if name == "bn_var" and (values < 0).any():
+                    refuse(name, "holds negative variances")
+        if entry["op"] == "output" and "weight_bits" in present:
+            classes = len(present["weight_bits"])
+            for name in ("scale", "offset"):
+                if name in present and present[name].shape != (classes,):
+                    refuse(name, f"has shape {present[name].shape}, not "
+                                 f"({classes},) for {classes} classes")
 
 
 def load_compiled(path, backend="reference", *, front_end=None,
@@ -373,6 +413,8 @@ def _bundle_from_payload(arrays, meta, path) -> BundleArtifact:
         model_arrays = {key[len(prefix):]: value
                         for key, value in arrays.items()
                         if key.startswith(prefix)}
+        _check_arrays(model_meta["ops"], model_arrays,
+                      f"{path} model {name!r}")
         models[name] = PlanArtifact(
             format_version=version, repro_version=repro_version,
             ops=model_meta["ops"], arrays=model_arrays,

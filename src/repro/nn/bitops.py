@@ -130,6 +130,12 @@ def pad_correction(n_words: int, width: int) -> int:
     return n_words * _WORD - width
 
 
+def _count_dtype(n_words: int):
+    """The unsigned dtype that disagreement counts over ``n_words`` words
+    accumulate in: it holds every count up to ``n_words * 64``."""
+    return np.uint16 if n_words * _WORD < 65536 else np.uint32
+
+
 def packed_xnor_popcount(x_words: np.ndarray, w_words: np.ndarray,
                          width: int) -> np.ndarray:
     """popcount(XNOR(x, w)) over packed words: ``(N, W) x (M, W) -> (N, M)``.
@@ -184,8 +190,7 @@ def packed_xor_counts(x_words: np.ndarray, w_words: np.ndarray) -> np.ndarray:
             f"word-count mismatch: {x_words.shape} vs {w_words.shape}")
     n_words = x_words.shape[1]
     n, m = x_words.shape[0], w_words.shape[0]
-    acc_dtype = np.uint16 if n_words * _WORD < 65536 else np.uint32
-    acc = np.zeros((n, m), dtype=acc_dtype)
+    acc = np.zeros((n, m), dtype=_count_dtype(n_words))
     xor_buf = np.empty((n, m), dtype=np.uint64)
     cnt_buf = np.empty((n, m), dtype=np.uint8)
     w_cols = np.ascontiguousarray(w_words.T)
@@ -294,8 +299,7 @@ def packed_xnor_popcount_stacked(x_words: np.ndarray, w_words: np.ndarray,
         return np.zeros((s, n, m), dtype=np.int64)
     if n_words == 0:
         return np.broadcast_to(widths[:, None, None], (s, n, m)).copy()
-    acc_dtype = np.uint16 if n_words * _WORD < 65536 else np.uint32
-    acc = np.zeros((s, n, m), dtype=acc_dtype)
+    acc = np.zeros((s, n, m), dtype=_count_dtype(n_words))
     xor_buf = np.empty((s, n, m), dtype=np.uint64)
     cnt_buf = np.empty((s, n, m), dtype=np.uint8)
     # Word-major views keep each iteration's operands contiguous.
@@ -374,9 +378,14 @@ class _IntegerThreshold:
 
     Precomputes, per output channel, the integer count bounds equivalent
     to the float ``dot``-vs-``theta`` comparison (see
-    :func:`_xor_count_bounds`), with never/always channels encoded as
-    out-of-range sentinels so the hot path is two integer compares and two
-    ORs — no float arithmetic.
+    :func:`_xor_count_bounds`) as two bounds on the disagreement count
+    ``x``: the bit is ``x < below or x >= x_ge``.  Both are stored in the
+    unsigned dtype :func:`packed_xor_counts` accumulates in for this
+    fan-in, so the compares never upcast the counts.  Never/always
+    channels are out-of-range sentinels: ``below = 0`` and ``x_ge =
+    fan_in + 1`` never fire, and a constant-one channel (``gamma == 0``
+    with ``beta >= 0``, or a saturated bound) has ``below = fan_in + 2``.
+    The hot path is two compares and one OR — no float arithmetic.
     """
 
     def __init__(self, theta: np.ndarray, gamma_sign: np.ndarray,
@@ -388,16 +397,18 @@ class _IntegerThreshold:
         const = const | (pos & (x_le >= fan_in)) | (neg & (x_ge <= 0))
         live_pos = pos & (0 <= x_le) & (x_le < fan_in)
         live_neg = neg & (0 < x_ge) & (x_ge <= fan_in)
-        self.const = const
-        self.x_le = np.where(live_pos, x_le, -1).astype(np.int32)
-        self.x_ge = np.where(live_neg, x_ge, fan_in + 1).astype(np.int32)
+        dtype = _count_dtype(-(-fan_in // _WORD))
+        self.below = np.where(const, fan_in + 2,
+                              np.where(live_pos, x_le + 1, 0)).astype(dtype)
+        self.x_ge = np.where(live_neg, x_ge, fan_in + 1).astype(dtype)
 
     def apply(self, counts: np.ndarray) -> np.ndarray:
-        """``counts``: ``(N, M)`` XOR disagreements -> output bits."""
-        out = (counts <= self.x_le[None, :]) \
-            | (counts >= self.x_ge[None, :]) \
-            | self.const[None, :]
-        return out.astype(np.uint8)
+        """``counts``: ``(N, M)`` XOR disagreements -> ``(N, M)`` output
+        bits, in the memory order of ``counts`` (a transposed view keeps
+        its long contiguous axis)."""
+        out = counts < self.below
+        out |= counts >= self.x_ge
+        return out.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +537,11 @@ class PackedBinaryConv1d:
         n, _, length = x_bits.shape
         l_out = f.output_length(length)
         patches = self._patch_words(self._channel_words(x_bits), l_out)
+        # Weights first: the kernel's inner loop runs along the n * l_out
+        # positions, not the C_out channels (see _standard_bits).
         counts = packed_xor_counts(
-            patches.reshape(len(patches), n * l_out).T, self.weight_words)
-        out = self._threshold.apply(counts)
+            self.weight_words, patches.reshape(len(patches), n * l_out).T)
+        out = self._threshold.apply(counts.T)
         return out.reshape(n, l_out, f.out_channels).transpose(0, 2, 1)
 
     @staticmethod
@@ -669,8 +682,11 @@ class PackedBinaryConv2d:
         h_out, w_out = f.output_shape(height, width)
         patches = im2col_2d(x_bits, f.kernel_size, f.stride).reshape(
             n * h_out * w_out, f.fan_in)
-        counts = packed_xor_counts(pack_bits(patches), self.weight_words)
-        out = self._threshold.apply(counts)
+        # XOR is symmetric, so weights go first: the (C_out, positions)
+        # counts give each of the few channels one long contiguous loop,
+        # and the transposed view below is walked in memory order.
+        counts = packed_xor_counts(self.weight_words, pack_bits(patches))
+        out = self._threshold.apply(counts.T)
         return out.reshape(n, h_out, w_out, f.out_channels) \
             .transpose(0, 3, 1, 2)
 

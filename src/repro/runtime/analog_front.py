@@ -20,9 +20,11 @@ Guard band
     The GEMM sums the same ``n = C_in * K`` terms as the reference, in
     another order.  Two summation orders differ by at most
     ``2 * gamma_n * sum|h|`` with ``gamma_n = n u / (1 - n u)``, and
-    ``sum|h| <= n * max|h_row|``.  A row with a pre-activation within that
-    bound of its threshold, or a non-finite or huge input, is recomputed
-    by the reference closure, so the folded front is bit-identical to it.
+    ``sum|h| <= n * max|h|`` over the window.  A window with a
+    pre-activation within that bound of its threshold, or a non-finite or
+    huge input, is recomputed by the reference closure, so the folded
+    front is bit-identical to it.  Both fronts guard whole windows: the
+    window-wide ``max|h|`` bounds every output's terms.
 """
 
 from __future__ import annotations
@@ -215,7 +217,10 @@ def conv2d_front(weight_bits: np.ndarray, bn: dict, n_channels: int,
 
     ``weight_bits`` is the ``(C_out, 1, K, 1)`` temporal kernel and
     ``stride``/``padding`` its time-axis geometry; the output bits are
-    ``(N, C_out, H_out, electrodes)`` like the 2-D convolution's.
+    ``(N, C_out, H_out, electrodes)`` like the 2-D convolution's.  The
+    guard (module docstring) is decided per window from the smallest
+    ``|y - t|`` over all its outputs and the largest ``|x|`` over all its
+    electrodes, so a flagged window is redone whole by ``reference``.
     """
     c_out, _, kernel, _ = weight_bits.shape
     sign, t = bn_sign_threshold(**bn)
@@ -242,11 +247,15 @@ def conv2d_front(weight_bits: np.ndarray, bn: dict, n_channels: int,
         y -= thresholds
         bits = y >= 0
         np.abs(y, out=y)
-        rows = _guarded(y.min(axis=1), _abs_max(signal, 1), kernel)
+        # One guard per window over its (E * T) inputs and (E * C_out *
+        # H_out) outputs: a window's dist is at most each electrode row's
+        # and its max|h| at least each row's, so it flags every window a
+        # per-row guard would, from long rows instead of short ones.
+        windows = _guarded(y.reshape(n, -1).min(axis=1),
+                           _abs_max(x.reshape(n, -1), 1), kernel)
         bits = np.ascontiguousarray(
             bits.view(np.uint8).reshape(n, n_channels, c_out, h_out)
             .transpose(0, 2, 3, 1))
-        return _redo(bits, rows.reshape(n, n_channels).any(axis=1), inputs,
-                     reference)
+        return _redo(bits, windows, inputs, reference)
 
     return run

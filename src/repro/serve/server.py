@@ -461,22 +461,33 @@ class PlanServer:
     def _execute(self, tenant: _Tenant, flush, depth: int) -> None:
         try:
             scores = tenant.plan.scores(flush.inputs)[:flush.rows]
-        except Exception as error:     # deliver the failure, keep serving
-            with self._cond:
-                for s in flush.slices:
-                    handle = self._handles.pop(s.request_id, None) \
-                        if s.final else self._handles.get(s.request_id)
-                    if handle is not None:
-                        handle._fail(error)
-            return
+        except Exception:
+            # One poisoned request must not fail the flush around it:
+            # rerun each slice alone (rows are independent, so a healthy
+            # slice scores as it would have in the batch) and fail only
+            # the requests whose own run raises.  Keep serving either way.
+            parts = []
+            for s in flush.slices:
+                try:
+                    parts.append(tenant.plan.scores(
+                        flush.inputs[s.row_start:s.row_stop]))
+                except Exception as error:
+                    parts.append(error)
+        else:
+            self._stat(tenant, "record_batch", flush.rows, depth)
+            parts = [scores[s.row_start:s.row_stop] for s in flush.slices]
         now = time.monotonic()
-        self._stat(tenant, "record_batch", flush.rows, depth)
         with self._cond:
-            handles = [(s, self._handles.pop(s.request_id)
-                        if s.final else self._handles[s.request_id])
+            handles = [self._handles.pop(s.request_id, None) if s.final
+                       else self._handles.get(s.request_id)
                        for s in flush.slices]
-        for s, handle in handles:
-            handle._deliver(s.offset, scores[s.row_start:s.row_stop], now)
+        for s, handle, part in zip(flush.slices, handles, parts):
+            if handle is None or handle.error is not None:
+                continue                # already failed in an earlier part
+            if isinstance(part, Exception):
+                handle._fail(part)
+                continue
+            handle._deliver(s.offset, part, now)
             if s.final:
                 self._stat(tenant, "record_complete", handle.latency)
 

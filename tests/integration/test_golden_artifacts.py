@@ -122,3 +122,76 @@ class TestGoldenArtifacts:
                                        macro=MacroGeometry(7, 13)))
         assert np.array_equal(sharded.scores(inputs),
                               reference.scores(inputs))
+
+
+def _mutated_copy(tmp_path, source: pathlib.Path, mutate) -> pathlib.Path:
+    """A copy of ``source`` with ``mutate(arrays)`` applied to its arrays
+    (the metadata record is kept as it is)."""
+    from repro.io.common import read_npz, write_npz
+    arrays, meta = read_npz(source)
+    mutate(arrays)
+    return write_npz(tmp_path / source.name, arrays, meta)
+
+
+def _set(key, index, value):
+    def mutate(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[index] = value
+    return mutate
+
+
+def _resize(key, length):
+    def mutate(arrays):
+        arrays[key] = np.resize(arrays[key], length)
+    return mutate
+
+
+class TestCorruptedArtifactRefused:
+    """Array values that used to load and score silently — front weight
+    bits outside {0, 1}, a negative or non-finite batch-norm array (NaN
+    thresholds), output scale/offset that broadcast over the classes —
+    are refused at load with an error naming the file, op and array."""
+
+    @pytest.mark.parametrize("op,name,mutate", [
+        (0, "weight_bits", _set("op0.weight_bits", 7, 2)),
+        (0, "weight_bits", _set("op0.weight_bits", 0, 3)),
+        (0, "bn_var", _set("op0.bn_var", 1, -0.5)),
+        (2, "bn_var", _set("op2.bn_var", 11, -1e-9)),
+        (0, "bn_gamma", _set("op0.bn_gamma", 2, np.nan)),
+        (0, "bn_beta", _set("op0.bn_beta", 0, -np.inf)),
+        (2, "bn_mean", _set("op2.bn_mean", 4, np.inf)),
+        (2, "bn_gamma", _set("op2.bn_gamma", 0, np.nan)),
+        (4, "scale", _resize("op4.scale", 1)),
+        (4, "offset", _resize("op4.offset", 1)),
+        (4, "scale", _resize("op4.scale", 3)),
+    ])
+    def test_mutation_is_refused_naming_file_op_and_array(
+            self, tmp_path, op, name, mutate):
+        path = _mutated_copy(tmp_path, _fixture("eeg"), mutate)
+        for load in (load_plan,
+                     lambda p: load_compiled(p, backend="packed")):
+            with pytest.raises(ValueError) as err:
+                load(path)
+            message = str(err.value)
+            assert str(path) in message
+            assert f"op {op} " in message and repr(name) in message
+
+    def test_bundle_tenant_is_refused_naming_the_model(self, tmp_path):
+        path = _mutated_copy(tmp_path, FIXTURES / "eeg_ecg_bundle.npz",
+                             _set("model0.op0.bn_var", 0, -1.0))
+        with pytest.raises(ValueError, match="'bn_var'") as err:
+            load_plan(path, model="eeg")
+        assert str(path) in str(err.value) and "'eeg'" in str(err.value)
+
+    @pytest.mark.parametrize("source", [
+        "eeg_full_binary.npz", "ecg_full_binary.npz", "eeg_ecg_bundle.npz"])
+    def test_fixtures_and_untouched_copies_load_and_score_alike(
+            self, tmp_path, source):
+        from repro.io import load_compiled_bundle
+        copy = _mutated_copy(tmp_path, FIXTURES / source, lambda arrays: None)
+        committed = load_compiled_bundle(FIXTURES / source, backend="packed")
+        copied = load_compiled_bundle(copy, backend="packed")
+        for name, plan in committed.items():
+            _, inputs = golden_classifier(name.split("_")[0])
+            assert plan.scores(inputs).tobytes() == \
+                copied[name].scores(inputs).tobytes()

@@ -258,6 +258,66 @@ class TestDegenerateThresholds:
                               folded.forward_bits(x))
 
 
+def _threshold_channels(fan_in):
+    """``(theta, gamma_sign, beta_sign)`` over every regime the integer
+    threshold encodes: live, saturated and constant channels of both
+    gamma signs, gamma == 0 with beta >= 0 and beta < 0, infinite
+    thresholds, thresholds on representable dot values (fan_in - 2x)
+    and between them."""
+    on_dot = [fan_in - 2.0 * x for x in
+              sorted({0, 1, fan_in // 2, max(fan_in - 1, 0), fan_in})]
+    thetas = on_dot + [t + 0.5 for t in on_dot] + [
+        -np.inf, np.inf, fan_in + 3.0, -fan_in - 3.0, 0.0]
+    channels = [(theta, gamma, beta) for theta in thetas
+                for gamma in (1.0, -1.0) for beta in (1.0, -1.0)]
+    channels += [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0),
+                 (np.inf, 0.0, 1.0), (-np.inf, 0.0, -1.0)]
+    return tuple(np.array(column) for column in zip(*channels))
+
+
+class TestIntegerThreshold:
+    """``_IntegerThreshold`` over every count a layer can produce, against
+    the float ``threshold_bits`` it replaces: the bounds are stored in the
+    kernel's count dtype, so a sentinel or an off-by-one at either end of
+    the count range, or at the uint16/uint32 edge, would show here."""
+
+    @pytest.mark.parametrize("fan_in", [1, 7, 44, 64, 65, 1000,
+                                        65472,      # last uint16 width
+                                        65473,      # pads to 65,536 bits
+                                        65536])
+    def test_every_count_matches_threshold_bits(self, fan_in):
+        from repro.nn.binary import threshold_bits
+        from repro.nn.bitops import _IntegerThreshold, packed_xor_counts
+
+        words = np.zeros((1, -(-fan_in // 64)), dtype=np.uint64)
+        count_dtype = packed_xor_counts(words, words).dtype
+        assert count_dtype == (np.uint16 if fan_in <= 65472 else np.uint32)
+        theta, gamma_sign, beta_sign = _threshold_channels(fan_in)
+        threshold = _IntegerThreshold(theta, gamma_sign, beta_sign, fan_in)
+        assert threshold.below.dtype == threshold.x_ge.dtype == count_dtype
+
+        x = np.arange(fan_in + 1)
+        want = threshold_bits((fan_in - 2 * x)[:, None], theta[None, :],
+                              gamma_sign[None, :], beta_sign[None, :])
+        counts = np.repeat(x.astype(count_dtype)[:, None], len(theta),
+                           axis=1)                          # C-ordered
+        channel_major = np.ascontiguousarray(counts.T).T    # transposed view
+        assert not channel_major.flags.c_contiguous
+        for layout in (counts, channel_major):
+            got = threshold.apply(layout)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_weights_first_counts_are_the_transpose(self, rng):
+        from repro.nn import pack_bits
+        from repro.nn.bitops import packed_xor_counts
+
+        patches = pack_bits(rng.integers(0, 2, (300, 150)).astype(np.uint8))
+        weights = pack_bits(rng.integers(0, 2, (5, 150)).astype(np.uint8))
+        assert np.array_equal(packed_xor_counts(weights, patches).T,
+                              packed_xor_counts(patches, weights))
+
+
 class TestPackedXorCountsValidation:
     def test_word_mismatch_raises(self):
         from repro.nn.bitops import packed_xor_counts

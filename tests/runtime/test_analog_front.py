@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.io import load_compiled, load_plan
-from repro.nn.binary import to_bits
+from repro.nn.binary import from_bits, to_bits
 from repro.nn.norm import BatchNorm1d
 from repro.runtime import PlanSerializationError, analog_front, serialize
 from repro.runtime.analog_front import bn_sign_threshold
@@ -275,6 +275,117 @@ class TestBatchTiles:
         assert np.array_equal(got, expected)
         assert len(redone) == 1
         np.testing.assert_array_equal(redone[0], x[sorted(guarded)])
+
+
+def _per_row_eeg_flags(arrays, params, x):
+    """The EEG front's former guard, kept as the referee: one decision
+    per (window, electrode) row from that row's own ``min|y - t|`` and
+    ``max|x|``; a window is redone when any of its rows is flagged."""
+    c_out, _, kernel, _ = arrays["weight_bits"].shape
+    n, n_channels, n_samples = x.shape
+    stride, padding = params["stride"][0], params["padding"][0]
+    sign, t = bn_sign_threshold(**serialize._bn_arrays(params, arrays))
+    weights = from_bits(arrays["weight_bits"][:, 0, :, 0]) * sign[:, None]
+    h_out = (n_samples + 2 * padding - kernel) // stride + 1
+    toeplitz = np.zeros((n_samples, c_out, h_out))
+    for k in range(kernel):
+        times = np.arange(h_out) * stride - padding + k
+        inside = (times >= 0) & (times < n_samples)
+        toeplitz[times[inside], :, np.flatnonzero(inside)] = weights[:, k]
+    signal = x.reshape(n * n_channels, n_samples)
+    with np.errstate(invalid="ignore"):
+        y = signal @ toeplitz.reshape(n_samples, c_out * h_out)
+    y = np.abs(y - np.repeat(t, h_out))
+    rows = analog_front._guarded(y.min(axis=1),
+                                 analog_front._abs_max(signal, 1), kernel)
+    return rows.reshape(n, n_channels).any(axis=1)
+
+
+@pytest.fixture
+def flagged(monkeypatch):
+    """The window mask each front hands to ``_redo``."""
+    masks = []
+    redo = analog_front._redo
+
+    def spy(bits, rows, inputs, reference):
+        masks.append(np.array(rows))
+        return redo(bits, rows, inputs, reference)
+
+    monkeypatch.setattr(analog_front, "_redo", spy)
+    return masks
+
+
+class TestEegWindowGuard:
+    """The EEG front guards whole windows: from the smallest ``|y - t|``
+    over all of a window's outputs and the largest ``|x|`` over all its
+    electrodes.  Each window flag must cover every per-row flag of the
+    former rule, and redone windows keep the bits exact."""
+
+    def _windows(self, arrays, params, shape):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40,) + shape)
+        x[3] *= 1e200                              # huge window
+        x[4, 5, 9] = 1e300                         # one huge sample
+        x[5, 2, 40] = 1e-300                       # tiny, harmless
+        x[6, 0, 0] = np.nan
+        x[7, 7, 63] = -np.inf
+        x[8] = 0.0                                 # silent window
+        # On threshold: a lone sample read by output j through tap 0
+        # alone makes that output's pre-activation t[c] exactly.
+        sign, t = bn_sign_threshold(**serialize._bn_arrays(params, arrays))
+        weights = from_bits(arrays["weight_bits"][:, 0, :, 0]) * sign[:, None]
+        padding, kernel = params["padding"][0], weights.shape[1]
+        j = 20 + padding                    # the output tap 0 reads t=20 in
+        assert j < shape[1] + 2 * padding - kernel + 1
+        for window, c in ((9, 0), (10, 3)):
+            x[window] = 0.0
+            x[window, 4, 20] = t[c] / weights[c, 0]
+        x[11] = 1e-3 * x[9]                         # scaled off it
+        return x
+
+    def test_window_flags_contain_the_per_row_flags(self, flagged):
+        spec, arrays, shape = _fixture_front("eeg")
+        params = spec["params"]
+        x = self._windows(arrays, params, shape)
+        front = build_front_end(spec, arrays)
+        reference = REFERENCE[spec["op"]](params, arrays)
+        flagged.clear()
+        with np.errstate(all="ignore"):
+            got, expected = front.run(x), reference(x)
+            per_row = _per_row_eeg_flags(arrays, params, x)
+        assert np.array_equal(got, expected)
+        (windows,) = flagged
+        assert windows.shape == (len(x),)
+        assert not (per_row & ~windows).any()
+        assert per_row[[3, 4, 6, 7, 9, 10]].all()
+        assert not windows[[0, 1, 2, 5, 8, 11]].any()
+
+    def test_nan_in_one_electrode_redoes_that_window(self, redone):
+        spec, arrays, shape = _fixture_front("eeg")
+        front = build_front_end(spec, arrays)
+        x = np.random.default_rng(12).standard_normal((16,) + shape)
+        x[9, 6, 33] = np.nan
+        expected = REFERENCE[spec["op"]](spec["params"], arrays)(x)
+        redone.clear()
+        with np.errstate(invalid="ignore"):
+            got = front.run(x)
+        assert np.array_equal(got, expected)
+        assert len(redone) == 1
+        np.testing.assert_array_equal(redone[0], x[[9]])
+
+    def test_fixture_scores_are_byte_identical(self):
+        # Packed plan scores equal the scores of the same plan with every
+        # window's front bits taken from the reference closure.
+        spec, arrays, shape = _fixture_front("eeg")
+        plan = load_compiled(FIXTURE_DIR / "eeg_full_binary.npz",
+                             backend="packed")
+        reference = REFERENCE[spec["op"]](spec["params"], arrays)
+        x = np.random.default_rng(13).standard_normal((256,) + shape)
+        x[::17] *= 1e-6
+        h = reference(x)
+        for op in plan.ops[1:]:
+            h = op.run(h)
+        assert plan.scores(x).tobytes() == np.asarray(h).tobytes()
 
 
 class TestWindowShapes:

@@ -41,6 +41,23 @@ class _ExplodingPlan:
         raise RuntimeError("kernel exploded")
 
 
+class _PoisonedPlan(_SumPlan):
+    """``_SumPlan`` that raises on any batch holding a row of ``POISON``
+    (a fault in one request's data), and logs each batch's size."""
+
+    POISON = -7.0
+
+    def __init__(self):
+        self.batches = []
+
+    def scores(self, inputs):
+        rows = np.asarray(inputs, dtype=np.float64)
+        self.batches.append(len(rows))
+        if (rows.reshape(len(rows), -1) == self.POISON).all(axis=1).any():
+            raise RuntimeError("poisoned row")
+        return super().scores(rows)
+
+
 def _server(**kwargs) -> PlanServer:
     kwargs.setdefault("dtype", np.float64)
     kwargs.setdefault("input_shape", (3,))
@@ -252,6 +269,45 @@ class TestHttpFront:
             client.close()
         finally:
             front.shutdown(drain=True)
+
+    def test_poisoned_request_fails_alone(self):
+        """Three requests coalesce into one flush whose batched run
+        raises on the middle one: the other two still get 200 with their
+        solo scores, and only the poisoned one gets a 500."""
+        plan = _PoisonedPlan()
+        server = PlanServer(plan, max_batch=3, window=LONG,
+                            dtype=np.float64, input_shape=(3,))
+        front = HttpFront(server, port=0).start()
+        requests = [np.full((1, 3), 1.25), np.full((1, 3), plan.POISON),
+                    np.arange(3.0).reshape(1, 3) / 3.0]
+        results = [None] * len(requests)
+
+        def post(index):
+            client = ServeClient(front.url)
+            try:
+                results[index] = client.predict(requests[index])
+            except ServeHTTPError as error:
+                results[index] = error
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=post, args=(index,))
+                   for index in range(len(requests))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            front.shutdown(drain=True)
+        assert plan.batches[0] == 3                  # one coalesced flush
+        assert isinstance(results[1], ServeHTTPError)
+        assert results[1].status == 500 and "poisoned" in str(results[1])
+        for index in (0, 2):
+            solo = _PoisonedPlan().scores(requests[index])
+            assert results[index]["scores"].tobytes() == solo.tobytes()
+        assert not server._handles
 
     def test_healthz_reports_draining_as_503(self):
         server = _server(window=0.0)
