@@ -18,19 +18,18 @@ monolithic single-controller RRAM backend, and verifies its two contracts:
   :func:`repro.rram.mc.shard_streams`;
 * **throughput** — sharded vs monolithic word-line-scan rate at the
   controller level (model-level latency is front-end-dominated), on the
-  stacked fast plan (default) and the noisy device path.  The stacked
-  plan is the acceptance surface: smoke mode asserts its overhead stays
-  ≤ 2.0x monolithic, and every mode asserts its counts equal both the
-  monolithic controller and the zero-sigma physical sharded path
-  (``fast_path=False``); the noisy per-chip loop stays
-  recorded-not-asserted (per-chip dispatch by construction, required by
-  the RNG stream contract).
+  fast path (default: one packed popcount over the layer's effective
+  bits) and the noisy device path.  The fast path is the acceptance
+  surface: smoke mode asserts its overhead stays ≤ 2.0x monolithic, and
+  every mode asserts its counts equal both the monolithic controller and
+  the zero-sigma physical sharded path (``fast_path=False``); the noisy
+  per-chip loop stays recorded-not-asserted (per-chip dispatch by
+  construction, required by the RNG stream contract).
 
 Results are recorded in ``BENCH_sharded_backend.json`` at the repo root.
 
-Run:  python benchmarks/bench_sharded_backend.py [--smoke] [--profile]
-(--smoke: small batch, no JSON record — the CI mode.  --profile: print
-the stacked plan's pack / kernel / reduce stage breakdown.)
+Run:  python benchmarks/bench_sharded_backend.py [--smoke]
+(--smoke: small batch, no JSON record — the CI mode.)
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _time_popcounts(controller, x_bits, repeats: int) -> float:
     return (time.perf_counter() - t0) / repeats * 1e3
 
 
-def main(smoke: bool = False, profile: bool = False) -> None:
+def main(smoke: bool = False) -> None:
     from _util import report
     from repro.cli.main import _demo_model_and_inputs
     from repro.rram import (AcceleratorConfig, DeviceParameters,
@@ -121,7 +120,7 @@ def main(smoke: bool = False, profile: bool = False) -> None:
     noisy_cfg = AcceleratorConfig(device=device,
                                   sense=SenseParameters(offset_sigma=0.3))
     controllers = {
-        "fast_stacked": ShardedController(
+        "fast": ShardedController(
             weights, config=ideal, rng=np.random.default_rng(1),
             macro=MacroGeometry(32, 32)),
         "noisy": ShardedController(
@@ -130,8 +129,8 @@ def main(smoke: bool = False, profile: bool = False) -> None:
     }
     timings = {}
     for label, sharded in controllers.items():
-        cfg = ideal if label.startswith("fast") else noisy_cfg
-        fast = "auto" if label.startswith("fast") else False
+        cfg = ideal if label == "fast" else noisy_cfg
+        fast = label == "fast"
         mono_ms = _time_popcounts(
             MemoryController(weights, cfg, np.random.default_rng(1), fast),
             x_bits, repeats)
@@ -140,24 +139,16 @@ def main(smoke: bool = False, profile: bool = False) -> None:
                           "sharded_ms": round(shard_ms, 3),
                           "overhead_x": round(shard_ms / mono_ms, 2)}
 
-    # The acceptance surface: on the scan layer, stacked == monolithic
+    # The acceptance surface: on the scan layer, fast == monolithic
     # == zero-sigma physical sharded counts.
     mono_counts = MemoryController(weights, ideal).popcounts(x_bits)
-    stacked_counts = controllers["fast_stacked"].popcounts(x_bits)
+    fast_counts = controllers["fast"].popcounts(x_bits)
     physical_counts = ShardedController(
         weights, config=ideal, rng=np.random.default_rng(1),
         fast_path=False, macro=MacroGeometry(32, 32)).popcounts(x_bits)
     scan_equivalent = bool(
-        np.array_equal(stacked_counts, mono_counts)
-        and np.array_equal(stacked_counts, physical_counts))
-
-    stage_profile = dict(controllers["fast_stacked"].last_profile)
-    if profile:
-        total = sum(stage_profile.values()) or 1.0
-        print("stacked plan stage breakdown "
-              f"({out_f}x{in_f}, batch {len(x_bits)}):")
-        for stage, ms in stage_profile.items():
-            print(f"  {stage:<10} {ms:7.3f} ms  ({ms / total:5.1%})")
+        np.array_equal(fast_counts, mono_counts)
+        and np.array_equal(fast_counts, physical_counts))
 
     geom_lines = "\n".join(
         f"  {name:<7}: bit-identical to monolithic+reference = "
@@ -175,7 +166,7 @@ def main(smoke: bool = False, profile: bool = False) -> None:
         f"{geom_lines}\n"
         f"  noisy sharded trials chunk-invariant ({trials} trials) = "
         f"{mc_invariant}\n"
-        f"  scan-layer counts bit-identical (stacked / monolithic / "
+        f"  scan-layer counts bit-identical (fast / monolithic / "
         f"zero-sigma physical) = {scan_equivalent}\n"
         f"{timing_lines}\n")
     report("sharded_backend", text)
@@ -183,11 +174,11 @@ def main(smoke: bool = False, profile: bool = False) -> None:
     assert all(equivalence.values()), equivalence
     assert mc_invariant, "sharded Monte-Carlo trials were chunk-variant"
     assert scan_equivalent, \
-        "stacked fast plan diverged from monolithic / physical counts"
+        "sharded fast path diverged from monolithic / physical counts"
     if smoke:
-        overhead = timings["fast_stacked"]["overhead_x"]
+        overhead = timings["fast"]["overhead_x"]
         assert overhead <= 2.0, (
-            f"stacked fast path overhead {overhead}x exceeds the 2.0x "
+            f"sharded fast path overhead {overhead}x exceeds the 2.0x "
             "smoke budget")
         return
 
@@ -203,8 +194,6 @@ def main(smoke: bool = False, profile: bool = False) -> None:
         "scan_batch": int(len(x_bits)),
         "scan_equivalent": scan_equivalent,
         "scan_timings": timings,
-        "stacked_stage_profile_ms": {k: round(v, 3)
-                                     for k, v in stage_profile.items()},
         "cores": len(os.sched_getaffinity(0)),
     }
     JSON_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -214,8 +203,4 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small batch, no JSON record")
-    parser.add_argument("--profile", action="store_true",
-                        help="print the stacked plan's pack/kernel/reduce "
-                             "stage breakdown")
-    args = parser.parse_args()
-    main(args.smoke, profile=args.profile)
+    main(parser.parse_args().smoke)

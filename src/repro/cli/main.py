@@ -570,7 +570,10 @@ def _cmd_deploy(artifact_path: str, backend_spec: str = "all",
     if not pathlib.Path(artifact_path).exists():
         raise SystemExit(f"no artifact at {artifact_path!r}; write one "
                          "with 'compile --save' first")
-    bundle = load_bundle(artifact_path)
+    try:
+        bundle = load_bundle(artifact_path)
+    except ValueError as error:        # malformed or corrupted artifact
+        raise SystemExit(str(error))
     tenants = len(bundle) > 1
 
     rows: list[str] = []
@@ -691,7 +694,10 @@ def _cmd_serve(artifact_path: str, backend_spec: str = "packed",
     if not pathlib.Path(artifact_path).exists():
         raise SystemExit(f"no artifact at {artifact_path!r}; write one "
                          "with 'compile --save' first")
-    bundle = load_bundle(artifact_path)
+    try:
+        bundle = load_bundle(artifact_path)
+    except ValueError as error:        # malformed or corrupted artifact
+        raise SystemExit(str(error))
     if require_bundle and len(bundle) < 2:
         raise SystemExit(
             f"{artifact_path} holds a single plan but --bundle was "

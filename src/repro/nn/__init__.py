@@ -17,12 +17,10 @@ from repro.nn.loss import CrossEntropyLoss
 from repro.nn.stochastic import stochastic_bits
 from repro.nn.quant import quant_scale, IntegerDense, deploy_dense_int
 from repro.nn.bitops import (pack_bits, unpack_bits, pad_correction,
-                             packed_xnor_popcount,
-                             packed_xnor_popcount_stacked,
-                             packed_column_slice, PackedBinaryDense,
+                             packed_xnor_popcount, PackedBinaryDense,
                              PackedOutputDense, PackedBinaryConv1d,
                              PackedBinaryConv2d, pack_feature_map,
-                             unpack_feature_map, WORD_BITS)
+                             unpack_feature_map)
 from repro.nn.binary import (
     BinaryLinear, BinaryConv1d, BinaryConv2d, BinaryDepthwiseConv2d,
     clip_latent_weights,
@@ -51,7 +49,6 @@ __all__ = [
     "stochastic_bits",
     "quant_scale", "IntegerDense", "deploy_dense_int",
     "pack_bits", "unpack_bits", "pad_correction", "packed_xnor_popcount",
-    "packed_xnor_popcount_stacked", "packed_column_slice", "WORD_BITS",
     "PackedBinaryDense", "PackedOutputDense",
     "PackedBinaryConv1d", "PackedBinaryConv2d",
     "pack_feature_map", "unpack_feature_map",

@@ -44,17 +44,13 @@ from repro.nn.binary import (FoldedBinaryDense, FoldedOutputDense,
                              threshold_bits)
 from repro.tensor.im2col import im2col_2d
 
-__all__ = ["WORD_BITS", "pack_bits", "unpack_bits", "pad_correction",
-           "packed_column_slice", "packed_xnor_popcount",
-           "packed_xnor_popcount_stacked", "packed_xor_counts",
+__all__ = ["pack_bits", "unpack_bits", "pad_correction",
+           "packed_xnor_popcount", "packed_xor_counts",
            "PackedBinaryDense", "PackedOutputDense",
            "PackedBinaryConv1d", "PackedBinaryConv2d",
            "pack_feature_map", "unpack_feature_map"]
 
 _WORD = 64
-#: Bits per packed machine word — the shared constant every word-grid
-#: computation (floorplan shard metadata, stacked shard plans) aligns to.
-WORD_BITS = _WORD
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -199,119 +195,6 @@ def packed_xor_counts(x_words: np.ndarray, w_words: np.ndarray) -> np.ndarray:
         np.bitwise_count(xor_buf, out=cnt_buf)
         np.add(acc, cnt_buf, out=acc)
     return acc
-
-
-def packed_column_slice(words: np.ndarray, start: int,
-                        stop: int) -> np.ndarray:
-    """Re-pack bit columns ``[start, stop)`` of already-packed rows.
-
-    ``words`` holds rows packed by :func:`pack_bits`; the result equals
-    ``pack_bits(unpack_bits(words, ...)[..., start:stop])`` but never
-    leaves the word domain: each output word is a funnel shift of (at
-    most) two adjacent input words, so slicing a column range out of a
-    wide packed batch costs a handful of vectorized shifts instead of an
-    unpack / ``numpy.packbits`` round trip per misaligned offset.  This
-    is the per-shard activation slicing primitive of the sharded
-    fan-in dataflow.
-
-    Bits past ``stop`` in the last output word are zeroed, preserving
-    the :func:`pack_bits` zero-pad invariant the popcount kernels rely
-    on.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    if not 0 <= start <= stop:
-        raise ValueError(f"bad column range [{start}, {stop})")
-    if stop > words.shape[-1] * _WORD:
-        raise ValueError(
-            f"column range [{start}, {stop}) exceeds the "
-            f"{words.shape[-1] * _WORD} packed bits per row")
-    width = stop - start
-    out_words = -(-width // _WORD)
-    if out_words == 0:
-        return np.zeros(words.shape[:-1] + (0,), dtype=np.uint64)
-
-    w0 = start // _WORD
-    shift = start % _WORD
-
-    def _span(first: int) -> np.ndarray:
-        span = words[..., first:first + out_words]
-        pad = out_words - span.shape[-1]
-        if pad:
-            span = np.concatenate(
-                [span, np.zeros(span.shape[:-1] + (pad,), dtype=np.uint64)],
-                axis=-1)
-        return span
-
-    if shift == 0:
-        out = _span(w0).copy()
-    else:
-        out = _span(w0) >> np.uint64(shift)
-        out |= _span(w0 + 1) << np.uint64(_WORD - shift)
-    tail = width - _WORD * (out_words - 1)
-    if tail < _WORD:
-        out[..., -1] &= np.uint64((1 << tail) - 1)
-    return out
-
-
-def packed_xnor_popcount_stacked(x_words: np.ndarray, w_words: np.ndarray,
-                                 widths) -> np.ndarray:
-    """Batched :func:`packed_xnor_popcount` over a leading shard axis:
-    ``(S, N, W) x (S, M, W) -> (S, N, M)`` agreement counts.
-
-    One kernel launch covers every shard of a stacked plan — the fused
-    alternative to looping ``S`` independent 2-D popcounts.  ``x_words``
-    may also be a shared ``(N, W)`` activation batch, broadcast across
-    the shard axis (the sharded fast path packs the batch once at full
-    width and reuses it for every fan-out stripe).
-
-    ``widths`` gives each shard's true bit width (scalar or ``(S,)``).
-    Both operands must zero every bit outside their true width — the
-    :func:`pack_bits` invariant — so pad bits only ever XNOR-agree and
-    the exact per-shard count is ``widths[s] - disagreements``, computed
-    with the same word-by-word disagreement accumulator as
-    :func:`packed_xor_counts` (no ``(S, N, M, W)`` tensor is ever
-    materialized).
-    """
-    x_words = np.asarray(x_words, dtype=np.uint64)
-    w_words = np.asarray(w_words, dtype=np.uint64)
-    if w_words.ndim != 3:
-        raise ValueError(
-            f"weights must be (shards, neurons, words), got {w_words.shape}")
-    shared = x_words.ndim == 2
-    if not shared and (x_words.ndim != 3
-                       or x_words.shape[0] != w_words.shape[0]):
-        raise ValueError(
-            f"activations must be (N, words) or ({w_words.shape[0]}, N, "
-            f"words), got {x_words.shape}")
-    if x_words.shape[-1] != w_words.shape[-1]:
-        raise ValueError(
-            f"word-count mismatch: {x_words.shape} vs {w_words.shape}")
-    s, m, n_words = w_words.shape
-    n = x_words.shape[0] if shared else x_words.shape[1]
-    widths = np.broadcast_to(
-        np.asarray(widths, dtype=np.int64), (s,))
-    if widths.size and (widths.min() < 0
-                        or widths.max() > n_words * _WORD):
-        raise ValueError(
-            f"widths must lie in [0, {n_words * _WORD}], got "
-            f"[{widths.min()}, {widths.max()}]")
-    if s == 0 or n == 0 or m == 0:
-        return np.zeros((s, n, m), dtype=np.int64)
-    if n_words == 0:
-        return np.broadcast_to(widths[:, None, None], (s, n, m)).copy()
-    acc = np.zeros((s, n, m), dtype=_count_dtype(n_words))
-    xor_buf = np.empty((s, n, m), dtype=np.uint64)
-    cnt_buf = np.empty((s, n, m), dtype=np.uint8)
-    # Word-major views keep each iteration's operands contiguous.
-    x_cols = np.ascontiguousarray(
-        x_words.T if shared else x_words.transpose(2, 0, 1))
-    w_cols = np.ascontiguousarray(w_words.transpose(2, 0, 1))
-    for k in range(n_words):
-        xk = x_cols[k][None, :, None] if shared else x_cols[k][:, :, None]
-        np.bitwise_xor(xk, w_cols[k][:, None, :], out=xor_buf)
-        np.bitwise_count(xor_buf, out=cnt_buf)
-        np.add(acc, cnt_buf, out=acc)
-    return widths[:, None, None] - acc.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

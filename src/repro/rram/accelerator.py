@@ -30,27 +30,24 @@ bit-exactness tests and realistic hardware for fault studies.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.nn.binary import (FoldedBinaryDense, FoldedOutputDense,
                              threshold_bits, to_bits)
-from repro.nn.bitops import (pack_bits, packed_column_slice,
-                             packed_xnor_popcount,
-                             packed_xnor_popcount_stacked)
+from repro.nn.bitops import pack_bits, packed_xnor_popcount, unpack_bits
 from repro.rram.array import RRAMArray
 from repro.rram.device import DeviceParameters
 from repro.rram.faults import FaultMap
 from repro.rram.floorplan import LayerPlacement, MacroGeometry
-from repro.rram.mc import READ_CHUNK_ELEMS, shard_streams, trial_chunks
+from repro.rram.mc import READ_CHUNK_ELEMS, shard_streams
 from repro.rram.reliability import LifetimeConfig
 from repro.rram.sense import SenseParameters
 from repro.tensor import Tensor, no_grad
 
 __all__ = ["AcceleratorConfig", "MemoryController", "ShardedController",
-           "StackedShardPlan", "InMemoryDenseLayer", "InMemoryOutputLayer",
+           "InMemoryDenseLayer", "InMemoryOutputLayer",
            "classifier_input_bits"]
 
 
@@ -96,23 +93,18 @@ def _noise_free(config: AcceleratorConfig) -> bool:
             and device.median_hrs > device.median_lrs)
 
 
-def _resolve_fast_path(fast_path: bool | str, config: AcceleratorConfig,
+def _resolve_fast_path(fast_path: bool, config: AcceleratorConfig,
                        lifetime: LifetimeConfig | None) -> bool:
     """Validate a controller's ``fast_path`` request and resolve it.
 
-    ``"auto"`` takes the fast path exactly when reads are deterministic
-    (noise-free configuration, no retention aging); ``True`` demands
-    that and raises otherwise; ``False`` always simulates devices.
+    ``True`` takes the packed path exactly when reads are deterministic
+    (noise-free configuration, no retention aging); ``False`` always
+    simulates devices.
     """
-    if fast_path not in (True, False, "auto"):
-        raise ValueError("fast_path must be True, False or 'auto'")
-    deterministic = _noise_free(config) and lifetime is None
-    if fast_path is True and not deterministic:
-        raise ValueError(
-            "fast_path=True requires a noise-free configuration "
-            "(zero device sigma, zero HRS drift, zero sense offset, "
-            "no retention aging); use fast_path='auto' to dispatch")
-    return deterministic if fast_path == "auto" else bool(fast_path)
+    if not isinstance(fast_path, bool):
+        raise ValueError(f"fast_path must be True or False, "
+                         f"got {fast_path!r}")
+    return fast_path and _noise_free(config) and lifetime is None
 
 
 def _single_batch(x_bits: np.ndarray, ndim: int) -> np.ndarray:
@@ -159,7 +151,7 @@ def _check_sense_override(sense: SenseParameters | None) -> None:
 def _packed_counts_trials(x_bits: np.ndarray, shared: bool, n_trials: int,
                           weight_words: np.ndarray, in_features: int,
                           sense: SenseParameters | None) -> np.ndarray:
-    """The fast-path trial body of the monolithic and ECC controllers.
+    """The fast-path trial body of every controller.
 
     Reads are deterministic, so shared activations are scanned once on
     the packed kernel and broadcast over the trial axis, and a per-trial
@@ -183,12 +175,13 @@ class MemoryController:
 
     Two read paths, selected at program time by ``fast_path``:
 
-    * **fast path** (``"auto"`` + a noise-free configuration, or ``True``):
-      a deterministic read always returns the programmed bits, so the
-      controller skips device simulation entirely and dispatches reads to
-      the packed uint64 XNOR-popcount kernels of :mod:`repro.nn.bitops` —
-      no noise draws, no bit-plane materialization, bit-exact with the
-      noisy path at zero sigma;
+    * **fast path** (``fast_path=True``, the default, on a noise-free
+      configuration with no retention aging): a deterministic read
+      always returns the programmed bits, so the controller skips device
+      simulation entirely and dispatches reads to the packed uint64
+      XNOR-popcount kernels of :mod:`repro.nn.bitops` — no noise draws,
+      no bit-plane materialization, bit-exact with the noisy path at
+      zero sigma;
     * **noisy path**: tiles are programmed as physical
       :class:`~repro.rram.array.RRAMArray` macros, their differential
       sense margins are stacked into one ``(out, in)`` matrix, and a scan
@@ -216,7 +209,7 @@ class MemoryController:
     def __init__(self, weight_bits: np.ndarray,
                  config: AcceleratorConfig | None = None,
                  rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
+                 fast_path: bool = True,
                  lifetime: LifetimeConfig | None = None,
                  fault_map: FaultMap | None = None,
                  fault_key: int | tuple[int, ...] = ()):
@@ -480,69 +473,6 @@ class MemoryController:
         return counts[:, :, :self.out_features]
 
 
-@dataclass(frozen=True)
-class StackedShardPlan:
-    """Program-time fast plan for a sharded layer: one batched kernel.
-
-    Built once at :class:`ShardedController` construction (fast path
-    only).  Every shard's padded weight slice is re-packed **word-aligned
-    to the shared activation grid**: the grid is the layer's full-width
-    packed activation row, and shard ``s``'s slice lands at bit
-    ``col_start`` of that grid — exactly where the once-packed activation
-    batch already holds its fan-in bits.
-
-    On that grid the shards of one fan-out stripe (one grid row — same
-    output neurons, adjacent fan-in slices) occupy **disjoint** bit
-    positions, so the stripe reduction fuses into the plan itself: OR-ing
-    the stripe's aligned weight words gives one ``(macro_rows, n_words)``
-    block whose XNOR disagreements against the shared activation words
-    equal the *sum* of the stripe's per-shard disagreements.  The
-    per-batch stripe sum thereby becomes a program-time bit-OR, and a
-    scan collapses to: pack the batch once, one
-    :func:`~repro.nn.bitops.packed_xnor_popcount_stacked` launch over
-    the ``(grid_rows, macro_rows, n_words)`` tensor, and a transpose/
-    reshape that concatenates fan-out stripes.  ``widths`` holds each
-    stripe's true fan-in — the pad-correction vector turning raw
-    disagreements into exact agreements (zero pad and out-of-slice bits
-    never disagree: both operands keep them zero).
-
-    The noisy path never uses this plan — per-chip sense noise must ride
-    the per-(shard, trial) RNG stream contract, which requires genuinely
-    per-shard scans (see :func:`repro.rram.mc.shard_streams`).
-    """
-
-    grid_rows: int
-    macro_rows: int
-    words: np.ndarray = field(repr=False)   # (grid_rows, macro_rows, n_words)
-    widths: np.ndarray = field(repr=False)  # (grid_rows,) true fan-in
-
-    @classmethod
-    def build(cls, weight_bits: np.ndarray,
-              placement: LayerPlacement) -> "StackedShardPlan":
-        """Pre-pack the placement's shard map for batched execution.
-
-        Placing the real weight rows on the padded ``(grid_rows *
-        macro_rows, in_features)`` canvas and packing row-wise *is* the
-        aligned-and-fused tensor: each shard's slice lands at its grid
-        word range, interior zeros are the disjoint-mask OR identity,
-        and tail-shard row padding stays all-zero (those word lines are
-        sliced off after the scan, like the monolithic controller's
-        padded rows).
-        """
-        grid_rows = placement.tile_grid[0]
-        macro_rows = placement.macro.rows
-        out_features, in_features = weight_bits.shape
-        padded = np.zeros((grid_rows * macro_rows, in_features),
-                          dtype=np.uint8)
-        padded[:out_features] = weight_bits
-        words = pack_bits(padded).reshape(grid_rows, macro_rows,
-                                          placement.activation_words)
-        # Every stripe spans the full fan-in once its shards are fused.
-        widths = np.full(grid_rows, in_features, dtype=np.int64)
-        return cls(grid_rows=grid_rows, macro_rows=macro_rows,
-                   words=words, widths=widths)
-
-
 class ShardedController:
     """One folded layer split across a grid of simulated macro *chips*.
 
@@ -575,27 +505,25 @@ class ShardedController:
     per-trial, per-shard independent sense noise, chunk-invariant and
     bit-identical between trial-batched and serial per-trial execution.
 
-    Noise-free configurations compile a :class:`StackedShardPlan` at
-    construction: deterministic partial popcounts decompose exactly over
-    the shard map, so the per-chip loop collapses to one full-width
-    activation pack, one batched stacked kernel and one stripe
-    concatenation — bit-identical to the monolithic controller and to the
-    zero-sigma physical path (``fast_path=False``), the two references
-    the equivalence tests compare against.  The noisy path always scans
-    shard by shard (the RNG stream contract requires per-chip draws).
+    Noise-free configurations read like the monolithic controller: a
+    deterministic chip senses exactly its effective bits (stored bits
+    with its stuck cells overridden; a remapped shard's spare chip is
+    healthy), and partial popcounts decompose exactly over the shard
+    map, so the reduced counts are one packed XNOR-popcount of the batch
+    against the layer's effective bits, stitched from the chips once at
+    construction.  The noisy path always scans shard by shard (the RNG
+    stream contract requires per-chip draws).
 
     The same read API as :class:`MemoryController` (``popcounts`` /
     ``popcounts_trials`` / meters), so the in-memory layer classes accept
     either via their ``controller`` parameter.
     """
 
-    read_chunk_elems = READ_CHUNK_ELEMS
-
     def __init__(self, weight_bits: np.ndarray,
                  placement: LayerPlacement | None = None,
                  config: AcceleratorConfig | None = None,
                  rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
+                 fast_path: bool = True,
                  macro: MacroGeometry | None = None,
                  name: str = "layer",
                  lifetime: LifetimeConfig | None = None,
@@ -682,41 +610,21 @@ class ShardedController:
                 fault_key=fault_key + (s.index,))
             for s in self.shard_map]
         self.fast_path = self.shards[0].fast_path
-        self.plan = None
+        self.weight_words = None
         if self.fast_path:
-            # The stacked plan fuses *effective* stored bits (stuck-at
-            # overrides applied per healthy shard); remapped shards are
-            # zeroed out of the fused canvas and corrected per scan with
-            # the per-shard kernel — the only shards that fall back.
-            plan_bits = weight_bits
-            if cell_faults is not None or dead_set:
-                plan_bits = np.array(weight_bits, copy=True)
-                for s in self.shard_map:
-                    block = plan_bits[s.row_start:s.row_stop,
-                                      s.col_start:s.col_stop]
-                    if s.index in dead_set:
-                        block[:] = 0
-                    elif cell_faults is not None:
-                        block[:] = cell_faults.apply_bits(
-                            block, fault_key + (s.index,))
-            self.plan = StackedShardPlan.build(plan_bits, placement)
-        self._remapped_specs = [(self.shard_map[i], self.shards[i])
-                                for i in self.remapped_shards]
-        #: Stage breakdown (pack / kernel / reduce, in ms) of the most
-        #: recent stacked scan — populated by every fast-path scan,
-        #: ``None`` before the first one (and on the noisy path).
-        self.last_profile: dict[str, float] | None = None
+            # Each chip already folded its stuck cells into its packed
+            # words (a remapped shard's spare has none): stitch them into
+            # the layer's effective bits, so a scan is one packed read.
+            effective = np.empty_like(weight_bits)
+            for s, shard in zip(self.shard_map, self.shards):
+                effective[s.row_start:s.row_stop, s.col_start:s.col_stop] \
+                    = unpack_bits(shard.weight_words, s.cols)
+            self.weight_words = pack_bits(effective)
 
     # -- geometry / meters ----------------------------------------------
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def fast_path_kind(self) -> str:
-        """Which read path scans execute on: ``"stacked"`` (one batched
-        kernel) or ``"noisy"`` (per-shard device simulation)."""
-        return "stacked" if self.fast_path else "noisy"
 
     @property
     def n_macros(self) -> int:
@@ -759,39 +667,6 @@ class ShardedController:
         for shard in self.shards:
             shard._count_read_ops(n, trials)
 
-    def _fast_counts(self, x_bits: np.ndarray) -> np.ndarray:
-        """Deterministic reduced counts for a 2-D batch (no metering):
-        pack the batch once at full width, one batched stacked kernel
-        over the fan-out stripes, concatenate."""
-        n = x_bits.shape[0]
-        plan = self.plan
-        t0 = time.perf_counter()
-        x_words = pack_bits(x_bits)
-        t1 = time.perf_counter()
-        counts = packed_xnor_popcount_stacked(
-            x_words, plan.words, plan.widths)   # (stripes, N, rows)
-        t2 = time.perf_counter()
-        reduced = np.ascontiguousarray(
-            counts.transpose(1, 0, 2)).reshape(
-                n, plan.grid_rows * plan.macro_rows)[:, :self.out_features]
-        t3 = time.perf_counter()
-        # Unsynchronized by choice: a stale profile under concurrent
-        # scans is harmless (diagnostics, not accounting).
-        self.last_profile = {"pack_ms": (t1 - t0) * 1e3,
-                             "kernel_ms": (t2 - t1) * 1e3,
-                             "reduce_ms": (t3 - t2) * 1e3}
-        for spec, shard in self._remapped_specs:
-            # The fused canvas stores zeros where the dead shard lived,
-            # so the stacked kernel credited one agreement per *zero*
-            # activation bit in the slice: ``cols - ones(xs)``.  Replace
-            # that with the spare chip's true per-shard count.
-            xs = packed_column_slice(x_words, spec.col_start, spec.col_stop)
-            ones = np.bitwise_count(xs).sum(axis=1, dtype=np.int64)
-            agree = packed_xnor_popcount(xs, shard.weight_words, spec.cols)
-            reduced[:, spec.row_start:spec.row_stop] += \
-                agree - (spec.cols - ones)[:, None]
-        return reduced
-
     def popcounts(self, x_bits: np.ndarray,
                   rng: np.random.Generator | None = None,
                   sense: SenseParameters | None = None) -> np.ndarray:
@@ -817,34 +692,19 @@ class ShardedController:
         read is a one-trial call.
 
         Fast-path trials are deterministic and never consume the
-        streams: shared activations are scanned **once** and broadcast
-        over the trial axis; per-trial activation stacks run the stacked
-        plan per trial window of at most ``read_chunk_elems`` counts
-        (each window packed and scanned flat).  The ``T`` scans every
-        chip would perform are accounted on the meters arithmetically —
-        no redundant re-scans.
+        streams: they run :func:`_packed_counts_trials` over the layer's
+        effective bits, and the ``T`` scans every chip would perform are
+        accounted on the meters arithmetically — no redundant re-scans.
         """
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         n_trials = len(rngs)
         shared = _validate_trial_input(x_bits, n_trials, self.in_features)
         n = x_bits.shape[0] if shared else x_bits.shape[1]
         if self.fast_path:
-            _check_sense_override(sense)
             self._meter_fast(n, trials=n_trials)
-            if shared:
-                counts = self._fast_counts(x_bits)
-                return np.broadcast_to(
-                    counts[None], (n_trials,) + counts.shape).copy()
-            counts = np.empty((n_trials, n, self.out_features),
-                              dtype=np.int64)
-            per_trial = n * max(1, self.n_shards * self.macro.rows)
-            for t0, t1 in trial_chunks(n_trials, per_trial,
-                                       self.read_chunk_elems):
-                flat = x_bits[t0:t1].reshape((t1 - t0) * n,
-                                             self.in_features)
-                counts[t0:t1] = self._fast_counts(flat).reshape(
-                    t1 - t0, n, self.out_features)
-            return counts
+            return _packed_counts_trials(x_bits, shared, n_trials,
+                                         self.weight_words,
+                                         self.in_features, sense)
         streams = shard_streams(rngs, self.n_shards)
         counts = np.zeros((n_trials, n, self.out_features), dtype=np.int64)
         for spec, shard, shard_rngs in zip(self.shard_map, self.shards,

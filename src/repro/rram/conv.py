@@ -140,8 +140,8 @@ class InMemoryConv1dLayer:
 
     ``controller`` (built by the ``rram`` or ``sharded`` backend) holds
     the flattened kernels; the im2col patch batches flow through its
-    ``popcounts_trials`` unchanged, so a stacked-shard fast plan built at
-    controller construction applies to conv scans too.
+    ``popcounts_trials`` unchanged, so a controller's fast path applies
+    to conv scans too.
     """
 
     def __init__(self, folded: FoldedBinaryConv1d, controller):

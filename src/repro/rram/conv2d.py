@@ -198,8 +198,8 @@ class InMemoryConv2dLayer:
 
     ``controller`` (built by the ``rram`` or ``sharded`` backend) holds
     the flattened kernels; im2col patch batches flow through its
-    ``popcounts_trials`` unchanged, so a stacked-shard fast plan built at
-    controller construction applies to conv scans too.
+    ``popcounts_trials`` unchanged, so a controller's fast path applies
+    to conv scans too.
     """
 
     def __init__(self, folded: FoldedBinaryConv2d, controller):

@@ -183,7 +183,7 @@ class EccMemoryController:
                  config=None,
                  rng: np.random.Generator | None = None,
                  code: HammingCode | None = None,
-                 fast_path: bool | str = "auto",
+                 fast_path: bool = True,
                  lifetime=None,
                  fault_map=None,
                  fault_key: int | tuple[int, ...] = ()):

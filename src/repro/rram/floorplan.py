@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.nn.bitops import WORD_BITS
 from repro.rram.energy import EnergyModel
 
 __all__ = ["MacroGeometry", "MacroShard", "LayerPlacement", "ChipFloorplan",
@@ -96,31 +95,6 @@ class MacroShard:
         """Fill fraction of this one macro (1.0 for interior shards)."""
         return self.synapses_used / self.macro.synapses
 
-    # -- word-grid metadata (stacked fast plans) -------------------------
-    # A layer's activation batch packs once into 64-bit words at full
-    # width; these properties locate the shard's fan-in slice on that
-    # shared word grid, so program-time plans can pre-align weight words
-    # instead of re-packing misaligned activation slices per scan.
-    @property
-    def word_start(self) -> int:
-        """First word of the shared activation grid this shard reads."""
-        return self.col_start // WORD_BITS
-
-    @property
-    def word_stop(self) -> int:
-        """One past the last word this shard reads (ceil boundary)."""
-        return -(-self.col_stop // WORD_BITS)
-
-    @property
-    def n_words(self) -> int:
-        """Words of the shared grid spanned by this shard's fan-in."""
-        return self.word_stop - self.word_start
-
-    @property
-    def bit_offset(self) -> int:
-        """Bit position of ``col_start`` inside its first grid word."""
-        return self.col_start - WORD_BITS * self.word_start
-
 
 @dataclass
 class LayerPlacement:
@@ -177,14 +151,6 @@ class LayerPlacement:
     def utilization(self) -> float:
         """Fraction of provisioned synapses that hold real weights."""
         return self.synapses_used / self.synapses_provisioned
-
-    @property
-    def activation_words(self) -> int:
-        """Width of the shared activation word grid (64-bit words needed
-        to pack one full-fan-in activation row) — the grid every shard's
-        :attr:`MacroShard.word_start`/:attr:`MacroShard.word_stop` range
-        indexes into."""
-        return -(-self.in_features // WORD_BITS)
 
     def shards(self) -> list[MacroShard]:
         """The executable shard map: one :class:`MacroShard` per macro.

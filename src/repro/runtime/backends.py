@@ -180,12 +180,12 @@ class RRAMBackend(_InMemoryBackend):
     config seed.  With ``ecc`` set, each layer is stored behind that
     Hamming code (:class:`~repro.rram.ecc.EccMemoryController`).
 
-    ``fast_path`` dispatches deterministic (noise-free) configurations to
-    the packed uint64 XNOR-popcount kernels at program time: ``"auto"``
-    (default) enables it exactly when the config has zero device
-    variability and zero sense offset — bit-exact with the simulated
-    path, orders of magnitude faster; ``False`` forces full device
-    simulation; ``True`` requires a noise-free config.
+    ``fast_path`` dispatches deterministic configurations to the packed
+    uint64 XNOR-popcount kernels at program time: ``True`` (default)
+    takes that path exactly when the config has zero device variability
+    and zero sense offset and no retention aging applies — bit-exact
+    with the simulated path, orders of magnitude faster; ``False``
+    forces full device simulation.
 
     Every prepared layer also exposes the Monte-Carlo trial axis
     (``forward_bits_trials`` / ``forward_scores_trials``): a compiled
@@ -200,7 +200,7 @@ class RRAMBackend(_InMemoryBackend):
 
     def __init__(self, config: AcceleratorConfig | None = None,
                  rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
+                 fast_path: bool = True,
                  ecc=None,
                  lifetime: LifetimeConfig | None = None,
                  fault_map: FaultMap | None = None):
@@ -265,11 +265,12 @@ class ShardedRRAMBackend(_InMemoryBackend):
     reports per-macro utilization, area and programming/scan energy from
     the existing floorplan cost model.
 
-    Every prepared layer that runs noise-free builds the program-time
-    :class:`~repro.rram.accelerator.StackedShardPlan`, collapsing the
-    per-shard dispatch loop into one batched kernel.  Reloaded plan
-    artifacts (:func:`repro.io.load_compiled`) rebind through the same
-    ``prepare_*`` hooks, so they pick up the stacked plan too.
+    ``fast_path`` has the :class:`RRAMBackend` meaning: with ``True``
+    (default) every layer that reads deterministically runs one packed
+    XNOR-popcount over its effective bits instead of the per-shard
+    loop.  Reloaded plan artifacts (:func:`repro.io.load_compiled`)
+    rebind through the same ``prepare_*`` hooks, so they take the fast
+    path too.
     """
 
     name = "sharded"
@@ -277,7 +278,7 @@ class ShardedRRAMBackend(_InMemoryBackend):
     def __init__(self, config: AcceleratorConfig | None = None,
                  macro: MacroGeometry | None = None,
                  rng: np.random.Generator | None = None,
-                 fast_path: bool | str = "auto",
+                 fast_path: bool = True,
                  energy: EnergyModel | None = None,
                  lifetime: LifetimeConfig | None = None,
                  fault_map: FaultMap | None = None,

@@ -202,13 +202,12 @@ class CompiledModel:
         placements = self.placements
         if placements:
             macros = sum(p.n_macros for p in placements)
-            kinds = {getattr(getattr(op.executor, "controller", None),
-                             "fast_path_kind", None)
+            paths = {getattr(getattr(op.executor, "controller", None),
+                             "fast_path", None)
                      for op in self.layer_ops}
-            kinds.discard(None)
-            labels = {"stacked": "stacked fast path",
-                      "noisy": "noisy per-shard path"}
-            via = ", ".join(labels.get(k, k) for k in sorted(kinds))
+            paths.discard(None)
+            labels = {True: "fast path", False: "noisy per-shard path"}
+            via = ", ".join(labels[p] for p in sorted(paths, reverse=True))
             remapped = sum(len(p.remapped) for p in placements)
             spares = sum(p.spare_macros for p in placements)
             degraded = ""
@@ -316,9 +315,10 @@ def compile(model, backend="reference", *, lower_features: bool | str = "auto",
         Backend name (``"reference"``, ``"packed"``, ``"rram"`` or any
         :func:`~repro.runtime.register_backend` plug-in) or a configured
         :class:`~repro.runtime.Backend` instance — e.g.
-        ``RRAMBackend(config, fast_path="auto")``, whose ``fast_path``
-        flag dispatches noise-free RRAM configurations to the packed
-        uint64 kernels at program time.
+        ``RRAMBackend(config, fast_path=False)``; ``fast_path`` (default
+        ``True``) dispatches deterministic RRAM configurations to the
+        packed uint64 kernels at program time, ``False`` keeps every
+        read on the simulated devices.
     lower_features:
         ``"auto"`` lowers binary feature convolutions onto the backend
         when the model supports it (fully binarized EEG/ECG networks);

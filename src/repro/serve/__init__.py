@@ -5,7 +5,7 @@ The offline entry points (``repro deploy``, the examples) pay artifact
 load + kernel dispatch per call; this package keeps one or more
 :class:`~repro.runtime.CompiledModel` instances resident and coalesces
 concurrent requests into batched dispatches onto the noise-free
-packed/stacked kernels — the throughput lever the hot-path benchmarks
+packed kernels — the throughput lever the hot-path benchmarks
 point at (a 256-batch scan costs barely more than a 1-batch scan).
 Multi-model bundles serve behind one daemon with per-model routing
 (``model=`` / ``POST /v1/predict {"model": ...}``), per-model stats and

@@ -10,7 +10,7 @@ Dataflow (one process, one or more co-resident models)::
         -> micro-batcher           coalesce FIFO rows per model, flush
                                    on window timeout or max-batch fill
         -> executor thread         ONE thread drives CompiledModel.scores
-                                   on the noise-free packed/stacked
+                                   on the noise-free packed
                                    kernels; one wake cycle carries the
                                    flushes of EVERY ready model
                                    back-to-back (cross-tenant coalescing)

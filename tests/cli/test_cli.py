@@ -534,3 +534,26 @@ class TestServeCommand:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+
+class TestRefusedArtifact:
+    """An artifact the loader refuses ends the command with its one-line
+    reason, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["deploy", "serve"])
+    def test_negative_variance_exits_with_the_reason(self, tmp_path,
+                                                     command):
+        import numpy as np
+
+        with np.load(PLANS / "eeg_full_binary.npz") as artifact:
+            arrays = dict(artifact)
+        arrays["op0.bn_var"] = arrays["op0.bn_var"].copy()
+        arrays["op0.bn_var"][0] = -1.0
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(bad)])
+        message = excinfo.value.code
+        assert isinstance(message, str)     # a message exits with status 1
+        assert str(bad) in message
+        assert "op 0" in message and "'bn_var'" in message

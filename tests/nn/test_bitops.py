@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (PackedBinaryDense, pack_bits, packed_column_slice,
-                      packed_xnor_popcount, packed_xnor_popcount_stacked,
+from repro.nn import (PackedBinaryDense, pack_bits, packed_xnor_popcount,
                       unpack_bits, xnor_popcount)
 from repro.nn.binary import FoldedBinaryDense
 
@@ -100,97 +99,6 @@ class TestPackedXnorPopcount:
         assert np.array_equal(
             packed_xnor_popcount(pack_bits(x), pack_bits(w), width),
             xnor_popcount(x, w))
-
-
-class TestPackedXnorPopcountStacked:
-    def _stacks(self, seed=3, s=4, n=5, m=7, width=131):
-        rng = np.random.default_rng(seed)
-        x = rng.integers(0, 2, (n, width)).astype(np.uint8)
-        w = rng.integers(0, 2, (s, m, width)).astype(np.uint8)
-        return x, w
-
-    def test_shared_activations_match_per_stack_kernel(self):
-        x, w = self._stacks()
-        widths = np.full(4, 131, dtype=np.int64)
-        stacked = packed_xnor_popcount_stacked(
-            pack_bits(x), pack_bits(w), widths)
-        expected = np.stack([packed_xnor_popcount(pack_bits(x),
-                                                  pack_bits(w[s]), 131)
-                             for s in range(4)])
-        assert np.array_equal(stacked, expected)
-
-    def test_per_stack_activations_match(self):
-        x, w = self._stacks()
-        xs = np.stack([np.roll(x, s, axis=0) for s in range(4)])
-        widths = np.full(4, 131, dtype=np.int64)
-        stacked = packed_xnor_popcount_stacked(
-            pack_bits(xs), pack_bits(w), widths)
-        expected = np.stack([packed_xnor_popcount(pack_bits(xs[s]),
-                                                  pack_bits(w[s]), 131)
-                             for s in range(4)])
-        assert np.array_equal(stacked, expected)
-
-    def test_per_stack_widths_respected(self):
-        """Bits above a stack's width are zero in both operands — they
-        never disagree, so agreements = width - disagreements stays exact
-        even when widths differ per stack."""
-        rng = np.random.default_rng(9)
-        widths = np.array([131, 70, 1], dtype=np.int64)
-        w = np.zeros((3, 4, 131), dtype=np.uint8)
-        x = np.zeros((6, 131), dtype=np.uint8)
-        x[:, :] = rng.integers(0, 2, (6, 131))
-        for s, width in enumerate(widths):
-            w[s, :, :width] = rng.integers(0, 2, (4, width))
-        xs = np.stack([np.where(np.arange(131) < width, x, 0)
-                       for width in widths]).astype(np.uint8)
-        stacked = packed_xnor_popcount_stacked(
-            pack_bits(xs), pack_bits(w), widths)
-        for s, width in enumerate(widths):
-            expected = packed_xnor_popcount(
-                pack_bits(xs[s, :, :width]),
-                pack_bits(w[s, :, :width]), int(width))
-            assert np.array_equal(stacked[s], expected)
-
-    def test_shape_and_width_validation(self):
-        x, w = self._stacks()
-        xw, ww = pack_bits(x), pack_bits(w)
-        widths = np.full(4, 131, dtype=np.int64)
-        with pytest.raises(ValueError):
-            packed_xnor_popcount_stacked(xw, ww[0], widths)
-        with pytest.raises(ValueError):
-            packed_xnor_popcount_stacked(xw[:, :-1], ww, widths)
-        with pytest.raises(ValueError):
-            packed_xnor_popcount_stacked(xw, ww, np.full(3, 131))
-        with pytest.raises(ValueError):
-            packed_xnor_popcount_stacked(xw, ww, np.full(4, 10_000))
-
-    def test_empty_axes(self):
-        x, w = self._stacks()
-        widths = np.full(4, 131, dtype=np.int64)
-        empty = packed_xnor_popcount_stacked(
-            pack_bits(x[:0]), pack_bits(w), widths)
-        assert empty.shape == (4, 0, 7)
-
-
-class TestPackedColumnSlice:
-    def test_misaligned_slice_equals_pack_of_bit_slice(self):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, (6, 200)).astype(np.uint8)
-        words = pack_bits(bits)
-        for start, stop in [(0, 200), (0, 64), (1, 65), (63, 129),
-                            (64, 128), (70, 70), (131, 200), (199, 200)]:
-            assert np.array_equal(packed_column_slice(words, start, stop),
-                                  pack_bits(bits[:, start:stop])), \
-                (start, stop)
-
-    def test_invalid_range_raises(self):
-        words = pack_bits(np.zeros((2, 100), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            packed_column_slice(words, -1, 10)
-        with pytest.raises(ValueError):
-            packed_column_slice(words, 5, 3)
-        with pytest.raises(ValueError):
-            packed_column_slice(words, 0, 64 * words.shape[-1] + 1)
 
 
 class TestPackedBinaryDense:

@@ -130,13 +130,12 @@ class TestFastPath:
         assert not ctrl.fast_path
         assert len(ctrl.tiles) == ctrl.grid_rows
 
-    def test_forcing_fast_path_on_noisy_config_raises(self, rng):
+    def test_invalid_fast_path_value_raises(self, rng):
         bits = rng.integers(0, 2, (4, 5)).astype(np.uint8)
-        with pytest.raises(ValueError, match="noise-free"):
-            MemoryController(bits, AcceleratorConfig(), rng, fast_path=True)
-        with pytest.raises(ValueError, match="fast_path"):
-            MemoryController(bits, AcceleratorConfig(ideal=True), rng,
-                             fast_path="maybe")
+        for value in ("maybe", "auto", 1, None):
+            with pytest.raises(ValueError, match="fast_path"):
+                MemoryController(bits, AcceleratorConfig(ideal=True), rng,
+                                 fast_path=value)
 
     def test_fast_matches_noisy_path_at_zero_variability(self, rng):
         bits = rng.integers(0, 2, (40, 70)).astype(np.uint8)

@@ -5,9 +5,9 @@ Contracts under test:
 
 * a killed macro's shard re-programs onto a healthy spare, so results
   stay *bit-identical* to the monolithic controller on both read paths
-  (stacked fast, zero-sigma physical);
-* the stacked fast path keeps its one batched kernel and corrects only
-  the remapped slices;
+  (packed fast, zero-sigma physical);
+* the fast path stays on under degradation: a remapped shard's spare
+  chip contributes its fault-free bits to the one packed read;
 * spare provisioning is explicit: more dead macros than spares raises,
   chip-global maps must be rebased before reaching a layer;
 * degradation is visible: placements, floorplan reports and repr all
@@ -36,7 +36,7 @@ def _dead_map(*macros: int) -> FaultMap:
 
 
 class TestRemapEquivalence:
-    @pytest.mark.parametrize("fast_path", ["auto", False])
+    @pytest.mark.parametrize("fast_path", [True, False])
     def test_killed_macro_matches_monolithic(self, weights, x_bits,
                                              fast_path):
         config = AcceleratorConfig(ideal=True)
@@ -50,8 +50,7 @@ class TestRemapEquivalence:
         assert np.array_equal(sharded.popcounts(x_bits),
                               mono.popcounts(x_bits))
 
-    def test_stacked_fast_path_survives_degradation(self, weights,
-                                                    x_bits):
+    def test_fast_path_survives_degradation(self, weights, x_bits):
         config = AcceleratorConfig(ideal=True)
         sharded = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24),
@@ -60,9 +59,8 @@ class TestRemapEquivalence:
                                     macro=MacroGeometry(8, 24))
         assert np.array_equal(sharded.popcounts(x_bits),
                               healthy.popcounts(x_bits))
-        # Both ran the one batched stacked kernel, not a per-shard loop.
-        assert "kernel_ms" in sharded.last_profile
-        assert "kernel_ms" in healthy.last_profile
+        # Both read through the one packed kernel, not a per-shard loop.
+        assert sharded.fast_path and healthy.fast_path
 
     def test_physical_path_remap(self, weights, x_bits):
         config = AcceleratorConfig(ideal=True)
@@ -89,23 +87,21 @@ class TestRemapEquivalence:
 
     def test_dead_plus_stuck_faults_consistent(self, weights, x_bits):
         """Cell faults apply to healthy shards; the remapped shard's
-        spare chip is fault-free. The stacked plan and the zero-sigma
+        spare chip is fault-free. The fast path and the zero-sigma
         physical path agree, scans and meters alike."""
         config = AcceleratorConfig(ideal=True)
         fm = FaultMap(stuck_lrs=0.02, dead_macros=(3,), seed=8)
-        stacked = ShardedController(weights, config=config,
-                                    macro=MacroGeometry(8, 24),
-                                    fault_map=fm)
+        fast = ShardedController(weights, config=config,
+                                 macro=MacroGeometry(8, 24), fault_map=fm)
         physical = ShardedController(weights, config=config,
                                      macro=MacroGeometry(8, 24),
                                      fault_map=fm, fast_path=False)
-        assert stacked.fast_path_kind == "stacked"
-        assert physical.fast_path_kind == "noisy"
+        assert fast.fast_path and not physical.fast_path
         assert sum(s.n_stuck_cells for s in physical.shards) > 0
-        assert np.array_equal(stacked.popcounts(x_bits),
+        assert np.array_equal(fast.popcounts(x_bits),
                               physical.popcounts(x_bits))
-        assert stacked.sense_ops == physical.sense_ops
-        assert stacked.popcount_bit_ops == physical.popcount_bit_ops
+        assert fast.sense_ops == physical.sense_ops
+        assert fast.popcount_bit_ops == physical.popcount_bit_ops
 
 
 class TestProvisioning:

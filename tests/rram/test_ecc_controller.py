@@ -122,9 +122,6 @@ class TestLifetimeInteraction:
         ecc = EccMemoryController(weights, AcceleratorConfig(ideal=True),
                                   lifetime=lt)
         assert not ecc.fast_path
-        with pytest.raises(ValueError):
-            EccMemoryController(weights, AcceleratorConfig(ideal=True),
-                                lifetime=lt, fast_path=True)
 
     def test_ecc_beats_bare_storage_when_aged(self, weights, x_bits):
         """The acceptance claim in miniature: an aged realistic store

@@ -221,8 +221,6 @@ class TestControllerReliabilityLayer:
         lt = LifetimeConfig.years(5, temp_c=125.0)
         mc = MemoryController(weights, config, lifetime=lt)
         assert not mc.fast_path
-        with pytest.raises(ValueError):
-            MemoryController(weights, config, lifetime=lt, fast_path=True)
 
     def test_aged_trials_batched_equals_serial(self, weights, x_bits):
         """Aging happens at program time from the root stream, so the

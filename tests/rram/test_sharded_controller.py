@@ -18,11 +18,10 @@ from repro.rram import (AcceleratorConfig, DeviceParameters, LayerPlacement,
 
 
 def _set_read_budget(budget, *controllers):
-    """Shrink the read windows of sharded controllers and their chips
-    (``None`` keeps the default budget), so scans run several trial
-    windows and row blocks."""
+    """Shrink the read windows of sharded controllers' chips (``None``
+    keeps the default budget), so noisy scans run several row blocks."""
     for controller in controllers:
-        for ctrl in (controller, *controller.shards):
+        for ctrl in controller.shards:
             if budget is not None:
                 ctrl.read_chunk_elems = budget
 
@@ -211,74 +210,75 @@ class TestNoisyTrials:
         assert all(t._margins is None for t in sharded.shards)
 
 
-class TestStackedPlan:
-    """The program-time stacked-shard fast plan: one batched kernel,
-    bit-identical to the zero-sigma physical sharded path and the
-    monolithic controller, with meters accounted arithmetically."""
+class TestFastPath:
+    """The sharded fast path: one packed popcount over the layer's
+    effective bits, bit-identical to the zero-sigma physical sharded path
+    and the monolithic controller, with meters accounted arithmetically."""
 
     def _pair(self, weights, geometry):
-        """(stacked, zero-sigma physical reference) on one geometry."""
+        """(fast, zero-sigma physical reference) on one geometry."""
         config = AcceleratorConfig(ideal=True)
-        stacked = ShardedController(weights, config=config,
-                                    macro=MacroGeometry(*geometry))
+        fast = ShardedController(weights, config=config,
+                                 macro=MacroGeometry(*geometry))
         reference = ShardedController(weights, config=config,
                                       macro=MacroGeometry(*geometry),
                                       fast_path=False)
-        return stacked, reference
+        return fast, reference
 
     @pytest.mark.parametrize("geometry", [(32, 32), (7, 13), (8, 24),
                                           (64, 256), (37, 131)])
-    def test_stacked_equals_reference_and_monolithic(self, weights, x_bits,
-                                                     geometry):
-        stacked, reference = self._pair(weights, geometry)
-        assert stacked.plan is not None and reference.plan is None
+    def test_fast_equals_reference_and_monolithic(self, weights, x_bits,
+                                                  geometry):
+        fast, reference = self._pair(weights, geometry)
+        assert fast.fast_path and not reference.fast_path
         mono = MemoryController(weights, AcceleratorConfig(ideal=True))
-        counts = stacked.popcounts(x_bits)
+        counts = fast.popcounts(x_bits)
         assert np.array_equal(counts, reference.popcounts(x_bits))
         assert np.array_equal(counts, mono.popcounts(x_bits))
 
-    def test_one_shard_placement_uses_the_plan(self, weights, x_bits):
-        stacked, reference = self._pair(weights, (64, 256))
-        assert stacked.n_shards == 1 and stacked.plan is not None
-        assert np.array_equal(stacked.popcounts(x_bits),
+    def test_one_shard_placement_takes_the_fast_path(self, weights,
+                                                     x_bits):
+        fast, reference = self._pair(weights, (64, 256))
+        assert fast.n_shards == 1 and fast.fast_path
+        assert np.array_equal(fast.popcounts(x_bits),
                               reference.popcounts(x_bits))
 
     def test_empty_batch(self, weights):
-        stacked, reference = self._pair(weights, (8, 16))
+        fast, reference = self._pair(weights, (8, 16))
         empty = np.zeros((0, 131), dtype=np.uint8)
-        assert stacked.popcounts(empty).shape == (0, 37)
+        assert fast.popcounts(empty).shape == (0, 37)
         assert reference.popcounts(empty).shape == (0, 37)
 
     @pytest.mark.parametrize("budget", [1, 300, 9000, None])
     def test_trials_shared_activations(self, weights, x_bits, budget):
-        stacked, reference = self._pair(weights, (7, 13))
-        _set_read_budget(budget, stacked, reference)
-        a = stacked.popcounts_trials(x_bits, trial_streams(7, 5))
+        fast, reference = self._pair(weights, (7, 13))
+        _set_read_budget(budget, fast, reference)
+        a = fast.popcounts_trials(x_bits, trial_streams(7, 5))
         b = reference.popcounts_trials(x_bits, trial_streams(7, 5))
         assert np.array_equal(a, b)
-        assert np.array_equal(a[0], stacked.popcounts(x_bits))
+        assert np.array_equal(a[0], fast.popcounts(x_bits))
 
     @pytest.mark.parametrize("budget", [1, 300, 9000, None])
     def test_trials_per_trial_activations(self, weights, rng, budget):
-        stacked, reference = self._pair(weights, (7, 13))
-        _set_read_budget(budget, stacked, reference)
+        fast, reference = self._pair(weights, (7, 13))
+        _set_read_budget(budget, fast, reference)
         x = rng.integers(0, 2, (5, 9, 131)).astype(np.uint8)
-        a = stacked.popcounts_trials(x, trial_streams(7, 5))
+        a = fast.popcounts_trials(x, trial_streams(7, 5))
         b = reference.popcounts_trials(x, trial_streams(7, 5))
         assert np.array_equal(a, b)
-        serial = np.stack([stacked.popcounts(x[t]) for t in range(5)])
+        serial = np.stack([fast.popcounts(x[t]) for t in range(5)])
         assert np.array_equal(a, serial)
 
     def test_meters_match_reference_exactly(self, weights, x_bits, rng):
-        stacked, reference = self._pair(weights, (8, 16))
+        fast, reference = self._pair(weights, (8, 16))
         per_trial = rng.integers(0, 2, (3, 9, 131)).astype(np.uint8)
-        for ctrl in (stacked, reference):
+        for ctrl in (fast, reference):
             ctrl.popcounts(x_bits)
             ctrl.popcounts_trials(x_bits, trial_streams(7, 4))
             _set_read_budget(300, ctrl)
             ctrl.popcounts_trials(per_trial, trial_streams(7, 3))
-        assert stacked.sense_ops == reference.sense_ops
-        assert stacked.popcount_bit_ops == reference.popcount_bit_ops
+        assert fast.sense_ops == reference.sense_ops
+        assert fast.popcount_bit_ops == reference.popcount_bit_ops
 
     def test_noisy_config_scans_shard_by_shard(self, weights):
         config = AcceleratorConfig(
@@ -287,41 +287,28 @@ class TestStackedPlan:
                                     device_mismatch=1.0),
             sense=SenseParameters(offset_sigma=0.5))
         noisy = ShardedController(weights, config=config)
-        assert not noisy.fast_path and noisy.plan is None
-        assert noisy.fast_path_kind == "noisy"
+        assert not noisy.fast_path and noisy.weight_words is None
 
     def test_invalid_stacked_value_raises(self, weights):
-        """Every noise-free controller builds the plan, so there is no
-        ``stacked`` option left to pass."""
+        """No ``stacked`` option exists: ``fast_path`` alone picks the
+        read path."""
         for value in (False, "yes"):
             with pytest.raises(TypeError, match="stacked"):
                 ShardedController(weights, stacked=value)
 
-    def test_repr_and_kind_report_the_plan(self, weights):
-        stacked, reference = self._pair(weights, (8, 16))
-        assert "fast_path=True" in repr(stacked)
+    def test_repr_reports_the_path(self, weights):
+        fast, reference = self._pair(weights, (8, 16))
+        assert "fast_path=True" in repr(fast)
         assert "fast_path=False" in repr(reference)
-        assert stacked.fast_path_kind == "stacked"
-        assert reference.fast_path_kind == "noisy"
-
-    def test_profile_populated_by_stacked_scan(self, weights, x_bits):
-        stacked, reference = self._pair(weights, (8, 16))
-        assert stacked.last_profile is None
-        stacked.popcounts(x_bits)
-        assert set(stacked.last_profile) == \
-            {"pack_ms", "kernel_ms", "reduce_ms"}
-        assert all(v >= 0.0 for v in stacked.last_profile.values())
-        reference.popcounts(x_bits)
-        assert reference.last_profile is None
+        assert fast.fast_path and not reference.fast_path
 
     def test_fast_path_refuses_noisy_sense_override(self, weights, x_bits):
-        stacked, _ = self._pair(weights, (8, 16))
+        fast, _ = self._pair(weights, (8, 16))
         with pytest.raises(ValueError, match="fast_path"):
-            stacked.popcounts(x_bits,
-                              sense=SenseParameters(offset_sigma=0.4))
+            fast.popcounts(x_bits, sense=SenseParameters(offset_sigma=0.4))
         with pytest.raises(ValueError, match="fast_path"):
-            stacked.popcounts_trials(x_bits, trial_streams(7, 2),
-                                     sense=SenseParameters(offset_sigma=0.4))
+            fast.popcounts_trials(x_bits, trial_streams(7, 2),
+                                  sense=SenseParameters(offset_sigma=0.4))
 
 
 class TestShardStreams:

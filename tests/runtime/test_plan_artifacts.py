@@ -236,9 +236,9 @@ class TestBeginPlanIsolation:
         assert len(second.placements) == len(first.placements)
         assert np.array_equal(second.scores(inputs), first.scores(inputs))
 
-    def test_loaded_plans_hit_the_stacked_fast_path(self, tmp_path):
+    def test_loaded_plans_hit_the_fast_path(self, tmp_path):
         """Regression: artifacts rebind through ``prepare_*``, so a
-        reloaded noise-free sharded plan must build stacked plans — not
+        reloaded noise-free sharded plan must take the fast path — not
         silently fall back to the per-shard dispatch loop."""
         eeg_model, inputs = golden_classifier("eeg")
         path = save_plan(compile(eeg_model, backend="reference",
@@ -248,10 +248,8 @@ class TestBeginPlanIsolation:
                                      macro=MacroGeometry(7, 13))
         loaded = load_compiled(path, backend=backend)
         controllers = [op.executor.controller for op in loaded.layer_ops]
-        assert controllers and all(c.plan is not None
-                                   for c in controllers)
-        assert all(c.fast_path_kind == "stacked" for c in controllers)
-        assert "stacked fast path" in loaded.summary()
+        assert controllers and all(c.fast_path for c in controllers)
+        assert "via fast path" in loaded.summary()
         reference = load_compiled(
             path, backend=ShardedRRAMBackend(AcceleratorConfig(ideal=True),
                                              macro=MacroGeometry(7, 13),
