@@ -20,6 +20,9 @@ import json
 import pathlib
 import re
 import sys
+import time
+
+import numpy as np
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,6 +37,20 @@ def report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n")
+
+
+def time_ms(call, repeats: int) -> dict:
+    """Median and interquartile range, in ms, of ``repeats`` timed calls
+    after one warm-up call."""
+    call()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - t0) * 1e3)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median_ms": round(float(median), 3),
+            "iqr_ms": round(float(q3 - q1), 3)}
 
 
 def validate_bench_record(path: pathlib.Path) -> list[str]:

@@ -2,12 +2,14 @@
 
 The RRAM backend is the substrate the whole paper is about, and its ideal
 (noise-free) configuration is what every bit-exactness check and most
-sweep points run.  Since this refactor, a noise-free
+sweep points run.  A noise-free
 :class:`~repro.rram.accelerator.MemoryController` is detected at program
-time and dispatched to the packed uint64 XNOR-popcount kernels of
-:mod:`repro.nn.bitops` — no device programming, no offset draws, no bit
-planes.  This script measures that fast path on the quickstart-scale EEG
-classifier (Table I geometry, reduced) against
+time, builds no device state and hands its effective bits to the packed
+uint64 XNOR-popcount executors of :mod:`repro.nn.bitops` — no device
+programming, no offset draws, no bit planes.  This script measures that
+fast path (the prepared executors) and what building it costs
+(controller construction) on the quickstart-scale EEG classifier
+(Table I geometry, reduced) against
 
 * the **legacy read path** (pre-refactor): a Python double loop over the
   tile grid, one offset tensor and one XNOR reduction per tile — timed
@@ -16,7 +18,8 @@ classifier (Table I geometry, reduced) against
   ideal parameters: one stacked-margin pass per batch chunk;
 
 and pins the fast path bit-exact against the ``reference`` backend.
-Results are recorded in ``BENCH_rram_hotpath.json`` at the repo root.
+Timings are the median and IQR over the rounds.  Results are recorded in
+``BENCH_rram_hotpath.json`` at the repo root.
 
 Run:  python benchmarks/bench_rram_hotpath.py [--smoke]
 (--smoke: tiny batch, no timing assertions, no JSON record — the CI mode.)
@@ -86,21 +89,11 @@ def _legacy_popcounts(controller, x_bits: np.ndarray) -> np.ndarray:
     return counts[:, :controller.out_features]
 
 
-def _best_of(fn, rounds: int) -> float:
-    fn()
-    best = np.inf
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def main(smoke: bool = False) -> None:
     from repro.nn.binary import threshold_bits
-    from repro.rram import AcceleratorConfig
+    from repro.rram import AcceleratorConfig, MemoryController
     from repro.runtime import RRAMBackend, compile
-    from _util import report
+    from _util import report, time_ms
 
     batch = 16 if smoke else 256
     rounds = 1 if smoke else 7
@@ -149,9 +142,16 @@ def main(smoke: bool = False) -> None:
     assert np.array_equal(run_layers(slow_plan), ref_scores)
     assert np.array_equal(run_legacy(), ref_scores)
 
-    fast_s = _best_of(lambda: run_layers(fast_plan), rounds)
-    slow_s = _best_of(lambda: run_layers(slow_plan), rounds)
-    legacy_s = _best_of(run_legacy, rounds)
+    def build_controllers():
+        for layer in (hidden, output):
+            MemoryController(layer.folded.weight_bits, config)
+
+    fast = time_ms(lambda: run_layers(fast_plan), rounds)
+    slow = time_ms(lambda: run_layers(slow_plan), rounds)
+    legacy = time_ms(run_legacy, rounds)
+    build = time_ms(build_controllers, rounds)
+    fast_s, slow_s, legacy_s = (t["median_ms"] / 1e3
+                                for t in (fast, slow, legacy))
     speedup = legacy_s / fast_s
 
     in_features = hidden.folded.in_features
@@ -167,6 +167,11 @@ def main(smoke: bool = False) -> None:
         f"  packed fast path          : {fast_s * 1e3:8.2f} ms/batch "
         f"({speedup:.1f}x vs legacy, {slow_s / fast_s:.1f}x vs vectorized)"
         "\n"
+        f"  fast-path controllers     : {build['median_ms']:8.2f} ms "
+        "to build\n"
+        f"  medians over {rounds} rounds; IQR legacy "
+        f"{legacy['iqr_ms']:.2f}, vectorized {slow['iqr_ms']:.2f}, "
+        f"fast {fast['iqr_ms']:.2f}, build {build['iqr_ms']:.2f} ms\n"
         f"  programming               : {slow_program_s * 1e3:8.2f} ms "
         f"(simulated) -> {fast_program_s * 1e3:.2f} ms (packed)\n"
         f"  fast path bit-exact vs reference backend : {bit_exact}\n")
@@ -182,9 +187,11 @@ def main(smoke: bool = False) -> None:
             "batch": batch,
             "config": "ideal (zero device sigma, zero sense offset)",
         },
-        "legacy_ms": round(legacy_s * 1e3, 3),
-        "vectorized_ms": round(slow_s * 1e3, 3),
-        "fast_ms": round(fast_s * 1e3, 3),
+        "rounds": rounds,
+        "legacy": legacy,
+        "vectorized": slow,
+        "fast": fast,
+        "fast_build": build,
         "speedup": round(speedup, 2),
         "speedup_vs_vectorized": round(slow_s / fast_s, 2),
         "program_speedup": round(slow_program_s / fast_program_s, 2),

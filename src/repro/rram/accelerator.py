@@ -15,16 +15,16 @@ This module provides that architecture end to end:
   floorplan shard map (:meth:`~repro.rram.floorplan.LayerPlacement.
   shards`) as one fixed-geometry macro chip per shard, with fan-in
   slicing, per-chip partial popcounts and a digital reduction stage;
-* :class:`InMemoryDenseLayer` / :class:`InMemoryOutputLayer` — hardware
-  execution of hidden (sign) and output (argmax) binary dense layers (the
-  ``rram`` backend's executors: deploy a trained model with
-  :func:`repro.runtime.compile`);
+* :class:`InMemoryDenseLayer` / :class:`InMemoryOutputLayer` — noisy
+  hardware execution of hidden (sign) and output (argmax) binary dense
+  layers (the ``rram`` backend's executors on the physical read path:
+  deploy a trained model with :func:`repro.runtime.compile`);
 * :func:`classifier_input_bits` — the digital front-end that turns real
   feature vectors into the activation bits fed to the first binary layer.
 
-Because all device and sense non-idealities live in the array model, the
-same classes run "ideal hardware" (zero variability parameters) for
-bit-exactness tests and realistic hardware for fault studies.
+All device and sense non-idealities live in the array model.  A
+noise-free controller builds none: it exposes the ``effective_bits`` it
+would sense, which the backends run on the packed executors.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.nn.binary import (FoldedBinaryDense, FoldedOutputDense,
                              threshold_bits, to_bits)
-from repro.nn.bitops import pack_bits, packed_xnor_popcount, unpack_bits
 from repro.rram.array import RRAMArray
 from repro.rram.device import DeviceParameters
 from repro.rram.faults import FaultMap
@@ -137,33 +136,15 @@ def _validate_trial_input(x_bits: np.ndarray, n_trials: int,
     return shared
 
 
-def _check_sense_override(sense: SenseParameters | None) -> None:
-    """A fast-path controller has no margins to perturb: a noisy
-    read-time sense override cannot be honoured, so refuse it loudly
-    instead of silently returning deterministic results."""
-    if sense is not None and sense.offset_sigma != 0.0:
+def _refuse_deterministic(controller) -> None:
+    """A deterministic controller has no device state to read: refuse
+    before any meter moves."""
+    if controller.fast_path:
         raise ValueError(
-            "sense override with nonzero offset_sigma requires the "
-            "physical device path; build the controller with "
-            "fast_path=False to keep margins resident")
-
-
-def _packed_counts_trials(x_bits: np.ndarray, shared: bool, n_trials: int,
-                          weight_words: np.ndarray, in_features: int,
-                          sense: SenseParameters | None) -> np.ndarray:
-    """The fast-path trial body of every controller.
-
-    Reads are deterministic, so shared activations are scanned once on
-    the packed kernel and broadcast over the trial axis, and a per-trial
-    stack is scanned trial by trial; ``(T, N, rows)`` counts."""
-    _check_sense_override(sense)
-    if shared:
-        counts = packed_xnor_popcount(pack_bits(x_bits), weight_words,
-                                      in_features)
-        return np.broadcast_to(
-            counts[None], (n_trials,) + counts.shape).copy()
-    return np.stack([packed_xnor_popcount(pack_bits(x), weight_words,
-                                          in_features) for x in x_bits])
+            f"{type(controller).__name__} is deterministic and holds no "
+            "device state to read; run its effective_bits on the packed "
+            "executors, or build it with fast_path=False for physical "
+            "reads")
 
 
 class MemoryController:
@@ -173,16 +154,16 @@ class MemoryController:
     the ragged edges, and padded columns are masked out of the popcount so
     they never contribute.
 
-    Two read paths, selected at program time by ``fast_path``:
+    ``fast_path`` decides at program time whether device state is
+    built:
 
-    * **fast path** (``fast_path=True``, the default, on a noise-free
-      configuration with no retention aging): a deterministic read
-      always returns the programmed bits, so the controller skips device
-      simulation entirely and dispatches reads to the packed uint64
-      XNOR-popcount kernels of :mod:`repro.nn.bitops` — no noise draws,
-      no bit-plane materialization, bit-exact with the noisy path at
-      zero sigma;
-    * **noisy path**: tiles are programmed as physical
+    * **deterministic** (``fast_path=True``, the default, on a noise-free
+      configuration with no retention aging): every read would return
+      the stored bits, so no tile is built.  The backends run
+      ``effective_bits`` (stuck cells applied) on the packed executors
+      and account the reads with :meth:`meter_reads`; direct reads
+      refuse;
+    * **noisy** (the physical read): tiles are programmed as
       :class:`~repro.rram.array.RRAMArray` macros, their differential
       sense margins are stacked into one ``(out, in)`` matrix, and a scan
       draws fresh per-read offsets for one block of batch rows at a time
@@ -192,12 +173,10 @@ class MemoryController:
       most ``read_chunk_elems`` elements, filled in place, so a scan's
       memory does not grow with the trial count.
 
-    Thread reentrancy: **fast-path** reads are safe from any number of
-    threads — the scan touches only the immutable packed ``weight_words``
-    and the op meters take ``_meter_lock``, so concurrent ``popcounts``
-    are bit-identical to serial calls and the counters stay exact (the
-    serving daemon relies on this; pinned by
-    ``tests/rram/test_thread_reentrancy.py``).  The **noisy** path is
+    Thread reentrancy: the meters take ``_meter_lock``, so concurrent
+    :meth:`meter_reads` calls from deterministic layers keep the counters
+    exact (the serving daemon relies on this; pinned by
+    ``tests/rram/test_thread_reentrancy.py``).  The noisy scan is
     single-caller by contract: each scan consumes the controller's
     ``self.rng`` stream, so concurrent noisy reads would interleave
     draws nondeterministically — callers that need noisy concurrency
@@ -228,9 +207,7 @@ class MemoryController:
                             for j in range(self.grid_cols)]
         self.popcount_bit_ops = 0
         self._extra_sense_ops = 0
-        # Meter updates are the ONLY state a fast-path read mutates, so
-        # this lock is what makes concurrent fast-path scans fully
-        # reentrant (scores were already pure; the counters would race).
+        # Concurrent deterministic reads mutate only the meters.
         self._meter_lock = threading.Lock()
 
         # Lifetime and fault state: inactive configurations normalize to
@@ -258,19 +235,19 @@ class MemoryController:
 
         self.tiles: list[list[RRAMArray]] = []
         self._margins: np.ndarray | None = None
+        #: ``(out, in)`` bits a deterministic read senses, else None.
+        self.effective_bits: np.ndarray | None = None
         if self.fast_path:
-            # Deterministic reads: the stored word is all that matters, so
-            # pack it once for the uint64 kernels and skip device state.
-            # Stuck cells read their stuck value, so they fold into the
-            # effective bits here (faults are hard, hence deterministic).
-            effective = weight_bits
+            # Deterministic reads: the stored bits are all that matters,
+            # so skip device state.  Stuck cells read their stuck value,
+            # so they fold into the effective bits here (faults are
+            # hard, hence deterministic).
+            effective = np.array(weight_bits, copy=True)
             if stuck_one is not None:
-                effective = np.array(weight_bits, copy=True)
                 effective[stuck_one] = 1
                 effective[stuck_zero] = 0
-            self.weight_words = pack_bits(effective)
+            self.effective_bits = effective
             return
-        self.weight_words = None
         padded = np.zeros((self.grid_rows * tr, self.grid_cols * tc),
                           dtype=np.uint8)
         padded[:self.out_features, :self.in_features] = weight_bits
@@ -321,8 +298,9 @@ class MemoryController:
     def wear(self, cycles: int) -> None:
         """Age every device (endurance studies on deployed weights).
 
-        A no-op on the fast path: wear only manifests through the
-        variability parameters, which a noise-free configuration zeroes.
+        A no-op on a deterministic controller: wear only manifests
+        through the variability parameters, which a noise-free
+        configuration zeroes.
         """
         for row in self.tiles:
             for tile in row:
@@ -384,22 +362,21 @@ class MemoryController:
         return self.popcounts_trials(_single_batch(x_bits, 2),
                                      [rng or self.rng], sense=sense)[0]
 
-    def _count_read_ops(self, n: int, trials: int) -> int:
-        """Update the popcount/sense-op meters for ``trials`` scans of an
-        ``n``-row batch; returns the padded output-row count.
+    def meter_reads(self, n: int, trials: int) -> None:
+        """Account ``trials`` scans of an ``n``-row batch on the
+        popcount/sense-op meters: every scan senses the full padded tile
+        grid and counts every stored row's fan-in.
 
         Locked: ``+=`` on a Python int is read-modify-write, so two
-        threads scanning one fast-path controller concurrently (the
+        threads reading one deterministic layer concurrently (the
         serving daemon's transport thread racing its executor) would
-        otherwise drop counts.  The scan itself needs no lock — the fast
-        path reads only immutable packed words."""
+        otherwise drop counts."""
         tr, tc = self.config.tile_rows, self.config.tile_cols
         out_p = self.grid_rows * tr
         with self._meter_lock:
             self.popcount_bit_ops += trials * n * out_p * self.in_features
             self._extra_sense_ops += trials * n * out_p \
                 * self.grid_cols * tc
-        return out_p
 
     def __getstate__(self):
         """Process-pool workers rebuild controllers rather than shipping
@@ -439,23 +416,17 @@ class MemoryController:
         two-term sum keeps its sign (also for infinite margins).  Every
         trial reuses the same scratch, so memory does not grow with
         ``T``.
-
-        On the fast path reads are deterministic, so all trials are the
-        one packed-kernel result broadcast over the trial axis.
         """
+        _refuse_deterministic(self)
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         n_trials = len(rngs)
         shared = _validate_trial_input(x_bits, n_trials, self.in_features)
         n = x_bits.shape[0] if shared else x_bits.shape[1]
-        out_p = self._count_read_ops(n, trials=n_trials)
-        if self.fast_path:
-            return _packed_counts_trials(x_bits, shared, n_trials,
-                                         self.weight_words,
-                                         self.in_features, sense)
+        self.meter_reads(n, trials=n_trials)
         margins = self._stacked_margins()
         neg_margins = np.negative(margins)
         x_bool = x_bits.astype(bool)
-        counts = np.empty((n_trials, n, out_p), dtype=np.int64)
+        counts = np.empty((n_trials, n, len(margins)), dtype=np.int64)
         sense = sense or self.config.sense
         chunk = max(1, min(n, self.read_chunk_elems // max(1, margins.size)))
         offsets = np.empty((chunk,) + margins.shape)
@@ -505,18 +476,20 @@ class ShardedController:
     per-trial, per-shard independent sense noise, chunk-invariant and
     bit-identical between trial-batched and serial per-trial execution.
 
-    Noise-free configurations read like the monolithic controller: a
-    deterministic chip senses exactly its effective bits (stored bits
-    with its stuck cells overridden; a remapped shard's spare chip is
-    healthy), and partial popcounts decompose exactly over the shard
-    map, so the reduced counts are one packed XNOR-popcount of the batch
-    against the layer's effective bits, stitched from the chips once at
-    construction.  The noisy path always scans shard by shard (the RNG
-    stream contract requires per-chip draws).
+    Noise-free configurations build no device state, like the
+    monolithic controller: a deterministic chip senses exactly its
+    effective bits (stored bits with its stuck cells overridden; a
+    remapped shard's spare chip is healthy), and partial popcounts
+    decompose exactly over the shard map, so the layer's
+    ``effective_bits`` are the chips' stitched once at construction, and
+    :meth:`meter_reads` accounts every chip's scans.  The noisy path
+    always scans shard by shard (the RNG stream contract requires
+    per-chip draws).
 
     The same read API as :class:`MemoryController` (``popcounts`` /
-    ``popcounts_trials`` / meters), so the in-memory layer classes accept
-    either via their ``controller`` parameter.
+    ``popcounts_trials`` / ``effective_bits`` / meters), so the
+    in-memory layer classes accept either via their ``controller``
+    parameter.
     """
 
     def __init__(self, weight_bits: np.ndarray,
@@ -610,16 +583,16 @@ class ShardedController:
                 fault_key=fault_key + (s.index,))
             for s in self.shard_map]
         self.fast_path = self.shards[0].fast_path
-        self.weight_words = None
+        self.effective_bits = None
         if self.fast_path:
-            # Each chip already folded its stuck cells into its packed
-            # words (a remapped shard's spare has none): stitch them into
-            # the layer's effective bits, so a scan is one packed read.
-            effective = np.empty_like(weight_bits)
+            # Each chip already folded its stuck cells into its effective
+            # bits (a remapped shard's spare has none): stitch them into
+            # the layer's.
+            self.effective_bits = np.empty_like(weight_bits)
             for s, shard in zip(self.shard_map, self.shards):
-                effective[s.row_start:s.row_stop, s.col_start:s.col_stop] \
-                    = unpack_bits(shard.weight_words, s.cols)
-            self.weight_words = pack_bits(effective)
+                self.effective_bits[s.row_start:s.row_stop,
+                                    s.col_start:s.col_stop] = \
+                    shard.effective_bits
 
     # -- geometry / meters ----------------------------------------------
     @property
@@ -658,14 +631,12 @@ class ShardedController:
             shard.reprogram()
 
     # -- reads -----------------------------------------------------------
-    def _meter_fast(self, n: int, trials: int) -> None:
-        """Account ``trials`` deterministic scans of an ``n``-row batch
-        on every chip's meters — arithmetically, without re-scanning.
-        Identical to what ``trials`` per-shard physical scans would
-        record (each chip senses its full macro per scan regardless of
-        path)."""
+    def meter_reads(self, n: int, trials: int) -> None:
+        """Account ``trials`` scans of an ``n``-row batch on every chip's
+        meters — what ``trials`` per-shard physical scans record (each
+        chip senses its full macro per scan)."""
         for shard in self.shards:
-            shard._count_read_ops(n, trials)
+            shard.meter_reads(n, trials)
 
     def popcounts(self, x_bits: np.ndarray,
                   rng: np.random.Generator | None = None,
@@ -674,9 +645,9 @@ class ShardedController:
         ``(N, out_features)`` reduced counts out.
 
         A one-trial :meth:`popcounts_trials` scan reading from ``rng``
-        (the controller's root generator by default): on the noisy path
-        each shard scans its fan-in slice with its own spawned child of
-        that stream, and partial popcounts are summed per fan-out stripe.
+        (the controller's root generator by default): each shard scans
+        its fan-in slice with its own spawned child of that stream, and
+        partial popcounts are summed per fan-out stripe.
         """
         return self.popcounts_trials(_single_batch(x_bits, 2),
                                      [rng or self.rng], sense=sense)[0]
@@ -690,21 +661,12 @@ class ShardedController:
         is bit-identical to ``[popcounts(x[t], rng=rngs[t]) for t in
         range(T)]`` — this is the controller's only scan, and a single
         read is a one-trial call.
-
-        Fast-path trials are deterministic and never consume the
-        streams: they run :func:`_packed_counts_trials` over the layer's
-        effective bits, and the ``T`` scans every chip would perform are
-        accounted on the meters arithmetically — no redundant re-scans.
         """
+        _refuse_deterministic(self)
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         n_trials = len(rngs)
         shared = _validate_trial_input(x_bits, n_trials, self.in_features)
         n = x_bits.shape[0] if shared else x_bits.shape[1]
-        if self.fast_path:
-            self._meter_fast(n, trials=n_trials)
-            return _packed_counts_trials(x_bits, shared, n_trials,
-                                         self.weight_words,
-                                         self.in_features, sense)
         streams = shard_streams(rngs, self.n_shards)
         counts = np.zeros((n_trials, n, self.out_features), dtype=np.int64)
         for spec, shard, shard_rngs in zip(self.shard_map, self.shards,
@@ -726,12 +688,12 @@ class ShardedController:
 
 
 class InMemoryDenseLayer:
-    """A hidden binary dense layer executed on RRAM tiles.
+    """A hidden binary dense layer read from noisy RRAM tiles.
 
     Thresholding implements ``sign(BN(.))`` folded per Eq. 3; output is the
-    next layer's activation bits.  ``controller`` holds the programmed
-    weights (a :class:`MemoryController`, :class:`ShardedController` or
-    ECC controller); the ``rram`` and ``sharded`` backends build it.
+    next layer's activation bits.  ``controller`` holds the weights on
+    noisy devices (a :class:`MemoryController`, :class:`ShardedController`
+    or ECC controller); the ``rram`` and ``sharded`` backends build it.
     """
 
     def __init__(self, folded: FoldedBinaryDense, controller):
@@ -758,8 +720,8 @@ class InMemoryDenseLayer:
 
 
 class InMemoryOutputLayer:
-    """The final binary dense layer: popcount in-memory, affine + argmax in
-    the shared digital logic (no sign follows the last layer)."""
+    """The final binary dense layer: popcount in noisy memory, affine +
+    argmax in the shared digital logic (no sign follows the last layer)."""
 
     def __init__(self, folded: FoldedOutputDense, controller):
         self.folded = folded

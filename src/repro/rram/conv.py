@@ -132,16 +132,15 @@ def fold_conv1d_batchnorm_sign(conv, bn: _BatchNorm) -> FoldedBinaryConv1d:
 
 
 class InMemoryConv1dLayer:
-    """A folded binary convolution executed on RRAM tiles.
+    """A folded binary convolution read from noisy RRAM tiles.
 
     Weight-stationary mapping: kernels live in the arrays; the input data
     controller scans receptive fields (one XNOR-read burst per field) and
     the shared popcount/threshold logic emits the output channel bits.
 
     ``controller`` (built by the ``rram`` or ``sharded`` backend) holds
-    the flattened kernels; the im2col patch batches flow through its
-    ``popcounts_trials`` unchanged, so a controller's fast path applies
-    to conv scans too.
+    the flattened kernels on noisy devices; the im2col patch batches
+    flow through its ``popcounts_trials`` unchanged.
     """
 
     def __init__(self, folded: FoldedBinaryConv1d, controller):

@@ -189,7 +189,7 @@ def fold_depthwise2d_batchnorm_sign(conv, bn: _BatchNorm
 
 
 class InMemoryConv2dLayer:
-    """A folded binary 2-D convolution executed on RRAM tiles.
+    """A folded binary 2-D convolution read from noisy RRAM tiles.
 
     Weight-stationary: flattened kernels live in the arrays; receptive
     fields stream through the XNOR sense amplifiers.  Depthwise layers use
@@ -197,9 +197,8 @@ class InMemoryConv2dLayer:
     tiling trivial and device effects negligible at K_h*K_w fan-in).
 
     ``controller`` (built by the ``rram`` or ``sharded`` backend) holds
-    the flattened kernels; im2col patch batches flow through its
-    ``popcounts_trials`` unchanged, so a controller's fast path applies
-    to conv scans too.
+    the flattened kernels on noisy devices; im2col patch batches flow
+    through its ``popcounts_trials`` unchanged.
     """
 
     def __init__(self, folded: FoldedBinaryConv2d, controller):

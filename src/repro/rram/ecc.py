@@ -170,13 +170,15 @@ class EccMemoryController:
     digitally over the corrected weights.
 
     The API mirrors :class:`~repro.rram.accelerator.MemoryController`
-    (``popcounts`` / ``popcounts_trials`` / meters), so the runtime layers
-    accept either interchangeably; the per-trial stream contract holds
-    because trial ``t``'s single weight fetch draws only from ``rngs[t]``.
+    (``popcounts`` / ``popcounts_trials`` / ``effective_bits`` /
+    meters), so the runtime layers accept either interchangeably; the
+    per-trial stream contract holds because trial ``t``'s single weight
+    fetch draws only from ``rngs[t]``.
 
-    Noise-free configurations with no retention aging take a fast path:
-    stuck-at faults are applied, the store is decoded once at program
-    time, and scans run the packed digital kernels on the corrected bits.
+    Noise-free configurations with no retention aging build no device
+    state: stuck-at faults are applied and the store is decoded once at
+    program time into ``effective_bits``, which the backends run on the
+    packed executors; direct reads are refused.
     """
 
     def __init__(self, weight_bits: np.ndarray,
@@ -239,14 +241,14 @@ class EccMemoryController:
             else int(stuck_one.sum() + stuck_zero.sum())
 
         self.array = None
-        self.weight_words = None
+        #: Decoded ``(out, in)`` bits of a deterministic store, else None.
+        self.effective_bits = None
         if self.fast_path:
             if stuck_one is not None:
                 stored = np.array(stored, copy=True)
                 stored[stuck_one] = 1
                 stored[stuck_zero] = 0
-            from repro.nn.bitops import pack_bits
-            self.weight_words = pack_bits(self._decode_stored(stored))
+            self.effective_bits = self._decode_stored(stored)
             self._extra_sense_ops += stored.size   # one program-time fetch
             return
         from repro.rram.array import RRAMArray
@@ -310,6 +312,12 @@ class EccMemoryController:
             decoded.reshape(self.out_features, -1)[:, :self.in_features])
 
     # -- reads -----------------------------------------------------------
+    def meter_reads(self, n: int, trials: int) -> None:
+        """Account ``trials`` digital popcounts of an ``n``-row batch
+        against the decoded weights (fetches meter themselves)."""
+        self.popcount_bit_ops += \
+            trials * n * self.out_features * self.in_features
+
     def popcounts(self, x_bits: np.ndarray,
                   rng: np.random.Generator | None = None,
                   sense=None) -> np.ndarray:
@@ -336,19 +344,15 @@ class EccMemoryController:
         is trivially bit-identical to
         ``[popcounts(x[t], rng=rngs[t]) for t in range(T)]``.
         """
-        from repro.rram.accelerator import (_packed_counts_trials,
+        from repro.rram.accelerator import (_refuse_deterministic,
                                             _validate_trial_input)
         from repro.nn.bitops import pack_bits, packed_xnor_popcount
+        _refuse_deterministic(self)
         x_bits = np.asarray(x_bits, dtype=np.uint8)
         n_trials = len(rngs)
         shared = _validate_trial_input(x_bits, n_trials, self.in_features)
         n = x_bits.shape[0] if shared else x_bits.shape[1]
-        self.popcount_bit_ops += \
-            n_trials * n * self.out_features * self.in_features
-        if self.fast_path:
-            return _packed_counts_trials(x_bits, shared, n_trials,
-                                         self.weight_words,
-                                         self.in_features, sense)
+        self.meter_reads(n, trials=n_trials)
         counts = np.empty((n_trials, n, self.out_features), dtype=np.int64)
         for t, rng in enumerate(rngs):
             weights = pack_bits(self._decode_stored(

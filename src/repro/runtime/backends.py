@@ -6,7 +6,8 @@ batch-norm folding of Eq. 3) into executors with ``forward_bits`` /
 bits into uint64 words, programming 2T2R tiles — happens in the
 ``prepare_*`` calls at compile time, never per batch.  The ``rram`` and
 ``sharded`` backends are the one place an in-memory layer's controller
-is built: every ``InMemory*Layer`` wraps ``(folded, controller)``.
+is built: a noisy one is read by ``InMemory*Layer(folded, controller)``,
+a deterministic one runs a :class:`MeteredPackedLayer`.
 
 The registry (:func:`register_backend` / :func:`resolve_backend`) is the
 extension point: a sharded multi-macro backend or an async sweep executor
@@ -15,6 +16,7 @@ plugs in by name without touching the compiler.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -141,33 +143,67 @@ class PackedBackend(Backend):
         return PackedBinaryConv2d(folded)
 
 
+class MeteredPackedLayer:
+    """A noise-free in-memory layer: the chip senses exactly its
+    effective bits, so it is the ``Packed*`` executor over them.  Each
+    call meters one scan per output position (``N`` rows, times the
+    output positions of a convolution) on the controller, as the
+    physical read does; a depthwise convolution reads no controller.
+    With no ``forward_*_trials``, a plan runs it once for all trials.
+    """
+
+    def __init__(self, executor, controller, metered: bool = True):
+        self.executor = executor
+        self.controller = controller
+        self.metered = metered
+
+    def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
+        return self._meter(self.executor.forward_bits(x_bits))
+
+    def forward_scores(self, x_bits: np.ndarray) -> np.ndarray:
+        return self._meter(self.executor.forward_scores(x_bits))
+
+    def _meter(self, out: np.ndarray) -> np.ndarray:
+        if self.metered:
+            self.controller.meter_reads(out.size // out.shape[1], trials=1)
+        return out
+
+
 class _InMemoryBackend(Backend):
     """The ``prepare_*`` hooks shared by the RRAM backends.
 
-    Each hook wraps the folded layer around the controller that
-    :meth:`_controller` programs with its weight bits; the backends
-    differ only in how that controller is built.  ``kind`` names the
-    layer class for placement labels (``fc``, ``out``, ``conv``).
+    Each hook wraps the controller that :meth:`_controller` programs
+    with the layer's weight bits; the backends differ only in how that
+    controller is built.  ``kind`` names the layer class for placement
+    labels (``fc``, ``out``, ``conv``).
     """
 
     def _controller(self, kind: str, weight_bits: np.ndarray):
         raise NotImplementedError
 
+    def _prepare(self, kind: str, folded, packed, in_memory):
+        controller = self._controller(kind, folded.weight_bits)
+        if not controller.fast_path:
+            return in_memory(folded, controller)
+        return MeteredPackedLayer(
+            packed(replace(folded, weight_bits=controller.effective_bits)),
+            controller, metered=not getattr(folded, "depthwise", False))
+
     def prepare_dense(self, folded: FoldedBinaryDense):
-        return InMemoryDenseLayer(
-            folded, self._controller("fc", folded.weight_bits))
+        return self._prepare("fc", folded, PackedBinaryDense,
+                             InMemoryDenseLayer)
 
     def prepare_output(self, folded: FoldedOutputDense):
-        return InMemoryOutputLayer(
-            folded, self._controller("out", folded.weight_bits))
+        return self._prepare("out", folded, PackedOutputDense,
+                             InMemoryOutputLayer)
 
     def prepare_conv1d(self, folded: FoldedBinaryConv1d):
-        return InMemoryConv1dLayer(
-            folded, self._controller("conv", folded.weight_bits))
+        return self._prepare("conv", folded, PackedBinaryConv1d,
+                             InMemoryConv1dLayer)
 
     def prepare_conv2d(self, folded: FoldedBinaryConv2d):
-        return InMemoryConv2dLayer(
-            folded, self._controller("conv", folded.weight_bits))
+        return self._prepare("conv", folded, PackedBinaryConv2d,
+                             InMemoryConv2dLayer)
 
 
 class RRAMBackend(_InMemoryBackend):
@@ -180,14 +216,15 @@ class RRAMBackend(_InMemoryBackend):
     config seed.  With ``ecc`` set, each layer is stored behind that
     Hamming code (:class:`~repro.rram.ecc.EccMemoryController`).
 
-    ``fast_path`` dispatches deterministic configurations to the packed
-    uint64 XNOR-popcount kernels at program time: ``True`` (default)
-    takes that path exactly when the config has zero device variability
-    and zero sense offset and no retention aging applies — bit-exact
-    with the simulated path, orders of magnitude faster; ``False``
-    forces full device simulation.
+    ``fast_path=True`` (default) builds no device state exactly when
+    the config has zero device variability and zero sense offset and no
+    retention aging applies: the layer is then a
+    :class:`MeteredPackedLayer` over the controller's effective bits
+    (stuck cells applied, or the ECC decode), bit-exact with the
+    physical path and metered like it.  ``False`` forces full device
+    simulation.
 
-    Every prepared layer also exposes the Monte-Carlo trial axis
+    Every noisy layer also exposes the Monte-Carlo trial axis
     (``forward_bits_trials`` / ``forward_scores_trials``): a compiled
     plan on this backend evaluates ``T`` noisy trials in one
     trial-batched pass via
@@ -266,11 +303,11 @@ class ShardedRRAMBackend(_InMemoryBackend):
     the existing floorplan cost model.
 
     ``fast_path`` has the :class:`RRAMBackend` meaning: with ``True``
-    (default) every layer that reads deterministically runs one packed
-    XNOR-popcount over its effective bits instead of the per-shard
-    loop.  Reloaded plan artifacts (:func:`repro.io.load_compiled`)
-    rebind through the same ``prepare_*`` hooks, so they take the fast
-    path too.
+    (default) every layer that reads deterministically is a
+    :class:`MeteredPackedLayer` over the effective bits stitched from
+    its chips instead of the per-shard loop.  Reloaded plan artifacts
+    (:func:`repro.io.load_compiled`) rebind through the same
+    ``prepare_*`` hooks, so they take the fast path too.
     """
 
     name = "sharded"

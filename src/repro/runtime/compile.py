@@ -115,7 +115,7 @@ class CompiledModel:
         Substrate ops that expose ``forward_*_trials`` (the ``rram``
         backend's noisy layers) evaluate all trials in one vectorized
         pass; deterministic ops (front-end, periphery, packed/reference
-        executors, fast-path RRAM) run once and broadcast.
+        executors, noise-free RRAM layers) run once and broadcast.
 
         ``sense`` (a :class:`~repro.rram.SenseParameters`) overrides the
         sense parameters of every substrate layer for these reads — the
@@ -155,12 +155,9 @@ class CompiledModel:
 
     @staticmethod
     def _stochastic(executor) -> bool:
-        """True when a trial-aware executor actually draws read noise.
-
-        Fast-path controllers are deterministic: their trials coincide,
-        so the plan keeps the activations shared instead of fanning out
-        ``T`` identical evaluations.
-        """
+        """True for the noisy ``InMemory*Layer`` executors, the only ones
+        with a trial axis: deterministic trials coincide, so the plan
+        keeps their activations shared."""
         controller = getattr(executor, "controller", None)
         return controller is not None and not controller.fast_path
 
@@ -168,15 +165,11 @@ class CompiledModel:
         per_trial = False
         for op in self.ops:
             executor = getattr(op, "executor", None)
-            if isinstance(op, OutputLayerOp) and \
-                    hasattr(executor, "forward_scores_trials") and \
-                    (per_trial or self._stochastic(executor)):
-                x = executor.forward_scores_trials(x, rngs, sense=sense)
-                per_trial = True
-            elif isinstance(op, BitLayerOp) and \
-                    hasattr(executor, "forward_bits_trials") and \
-                    (per_trial or self._stochastic(executor)):
-                x = executor.forward_bits_trials(x, rngs, sense=sense)
+            if self._stochastic(executor):
+                read = executor.forward_scores_trials \
+                    if isinstance(op, OutputLayerOp) \
+                    else executor.forward_bits_trials
+                x = read(x, rngs, sense=sense)
                 per_trial = True
             elif per_trial:
                 # Deterministic op downstream of a noisy one: the trials
@@ -184,8 +177,8 @@ class CompiledModel:
                 x = np.stack([op.run(x[t]) for t in range(len(rngs))])
             else:
                 # Deterministic op on still-shared activations (front
-                # end, periphery, packed/reference or fast-path layers):
-                # run once, stay shared.
+                # end, periphery, packed/reference or noise-free RRAM
+                # layers): run once, stay shared.
                 x = op.run(x)
         if not per_trial:
             # Fully deterministic plan: every trial coincides.

@@ -3,17 +3,20 @@
 The contract: for *any* layer shape, macro geometry, batch and fault map
 (none, stuck cells plus dead rows, or stuck cells plus dead macros
 remapped onto spares), the sharded fast path (one packed popcount over
-the layer's effective bits), the zero-sigma physical sharded path
-(``fast_path=False``, real per-shard arrays) and a monolithic controller
-holding the same effective bits produce identical integer popcounts, and
-the two sharded paths identical meters — including ``popcounts_trials``
-for any read budget (row blocks of the physical chips).
+the deterministic controller's ``effective_bits``), the zero-sigma
+physical sharded path (``fast_path=False``, real per-shard arrays) and a
+zero-sigma physical monolithic controller holding the same effective
+bits produce identical integer popcounts, and the fast path's
+arithmetic meters equal the physical sharded scans' — including
+``popcounts_trials`` for any read budget (row blocks of the physical
+chips).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.bitops import pack_bits, packed_xnor_popcount
 from repro.rram import (AcceleratorConfig, FaultMap, MacroGeometry,
                         MemoryController, ShardedController, trial_streams)
 
@@ -74,9 +77,17 @@ def _controllers(weights, macro_rows, macro_cols, faults, data, seed):
     reference = ShardedController(weights, config=config, macro=macro,
                                   fast_path=False, fault_map=fault_map)
     assert fast.fast_path and not reference.fast_path
-    mono = MemoryController(_effective_bits(weights, fast, fault_map),
-                            config)
+    effective = _effective_bits(weights, fast, fault_map)
+    assert np.array_equal(fast.effective_bits, effective)
+    mono = MemoryController(effective, config, fast_path=False)
     return fast, reference, mono
+
+
+def _packed_counts(x, controller):
+    """The fast path: one packed popcount over the effective bits."""
+    return packed_xnor_popcount(pack_bits(x),
+                                pack_bits(controller.effective_bits),
+                                x.shape[-1])
 
 
 class TestFastPathEquivalenceProperty:
@@ -91,10 +102,10 @@ class TestFastPathEquivalenceProperty:
         x = _bits(seed + 1, n, in_features)
         fast, reference, mono = _controllers(weights, macro_rows,
                                              macro_cols, faults, data, seed)
-        counts = fast.popcounts(x)
-        assert counts.dtype == np.int64
+        counts = _packed_counts(x, fast)
         assert np.array_equal(counts, reference.popcounts(x))
         assert np.array_equal(counts, mono.popcounts(x))
+        fast.meter_reads(n, trials=1)
         assert fast.sense_ops == reference.sense_ops
         assert fast.popcount_bit_ops == reference.popcount_bit_ops
 
@@ -116,11 +127,13 @@ class TestFastPathEquivalenceProperty:
                                              macro_cols, faults, data, seed)
         if budget is not None:
             _set_read_budget(budget, reference)
-        a = fast.popcounts_trials(x, trial_streams(7, n_trials))
+        a = np.stack([_packed_counts(x[t] if per_trial else x, fast)
+                      for t in range(n_trials)])
         b = reference.popcounts_trials(x, trial_streams(7, n_trials))
         assert np.array_equal(a, b)
         serial = np.stack([mono.popcounts(x[t] if per_trial else x)
                            for t in range(n_trials)])
         assert np.array_equal(a, serial)
+        fast.meter_reads(n, trials=n_trials)
         assert fast.sense_ops == reference.sense_ops
         assert fast.popcount_bit_ops == reference.popcount_bit_ops

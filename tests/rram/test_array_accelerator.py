@@ -89,7 +89,7 @@ class TestMemoryController:
     def test_popcounts_match_software(self, rng):
         bits = rng.integers(0, 2, (10, 50)).astype(np.uint8)
         ctrl = MemoryController(bits, AcceleratorConfig(
-            tile_rows=8, tile_cols=16, ideal=True), rng)
+            tile_rows=8, tile_cols=16, ideal=True), rng, fast_path=False)
         x = rng.integers(0, 2, (6, 50)).astype(np.uint8)
         assert np.array_equal(ctrl.popcounts(x), xnor_popcount(x, bits))
 
@@ -97,15 +97,16 @@ class TestMemoryController:
         # 5 inputs on 16-wide tiles: 11 padded columns must be masked.
         bits = rng.integers(0, 2, (4, 5)).astype(np.uint8)
         ctrl = MemoryController(bits, AcceleratorConfig(
-            tile_rows=4, tile_cols=16, ideal=True), rng)
+            tile_rows=4, tile_cols=16, ideal=True), rng, fast_path=False)
         x = rng.integers(0, 2, (3, 5)).astype(np.uint8)
         assert np.array_equal(ctrl.popcounts(x), xnor_popcount(x, bits))
         assert ctrl.popcounts(x).max() <= 5
 
     def test_input_shape_validation(self, rng):
         ctrl = MemoryController(np.zeros((4, 5), np.uint8),
-                                AcceleratorConfig(ideal=True), rng)
-        with pytest.raises(ValueError):
+                                AcceleratorConfig(ideal=True), rng,
+                                fast_path=False)
+        with pytest.raises(ValueError, match="input shape"):
             ctrl.popcounts(np.zeros((2, 6), np.uint8))
 
     def test_device_count_includes_differential_pairs(self, rng):
@@ -116,7 +117,8 @@ class TestMemoryController:
 
 
 class TestFastPath:
-    """Program-time dispatch of noise-free configs to the packed kernels."""
+    """Noise-free configs build no device state: their effective bits run
+    on the packed kernels, and their reads are metered arithmetically."""
 
     def test_ideal_config_auto_selects_fast_path(self, rng):
         bits = rng.integers(0, 2, (10, 50)).astype(np.uint8)
@@ -145,8 +147,10 @@ class TestFastPath:
                                 fast_path=False)
         x = rng.integers(0, 2, (9, 70)).astype(np.uint8)
         assert fast.fast_path and not slow.fast_path
-        assert np.array_equal(fast.popcounts(x), slow.popcounts(x))
-        assert np.array_equal(fast.popcounts(x), xnor_popcount(x, bits))
+        assert np.array_equal(fast.effective_bits, bits)
+        counts = xnor_popcount(x, fast.effective_bits)
+        assert np.array_equal(counts, slow.popcounts(x))
+        assert np.array_equal(counts, xnor_popcount(x, bits))
 
     def test_fast_path_keeps_op_accounting(self, rng):
         bits = rng.integers(0, 2, (4, 5)).astype(np.uint8)
@@ -155,7 +159,7 @@ class TestFastPath:
         slow = MemoryController(bits, config, np.random.default_rng(0),
                                 fast_path=False)
         x = rng.integers(0, 2, (3, 5)).astype(np.uint8)
-        fast.popcounts(x)
+        fast.meter_reads(len(x), trials=1)
         slow.popcounts(x)
         assert fast.n_devices == slow.n_devices == 1 * 4 * 8 * 2
         assert fast.sense_ops == slow.sense_ops > 0
@@ -166,8 +170,7 @@ class TestFastPath:
         ctrl = MemoryController(bits, AcceleratorConfig(ideal=True), rng)
         ctrl.wear(int(1e9))              # no-op: no variability to age
         ctrl.reprogram()
-        x = rng.integers(0, 2, (3, 5)).astype(np.uint8)
-        assert np.array_equal(ctrl.popcounts(x), xnor_popcount(x, bits))
+        assert np.array_equal(ctrl.effective_bits, bits)
 
 
 class TestNoisyPathChunking:

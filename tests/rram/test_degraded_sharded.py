@@ -4,10 +4,11 @@ onto provisioned spare chips instead of failing the deployment.
 Contracts under test:
 
 * a killed macro's shard re-programs onto a healthy spare, so results
-  stay *bit-identical* to the monolithic controller on both read paths
-  (packed fast, zero-sigma physical);
+  stay *bit-identical* to the monolithic controller on both paths
+  (the effective bits a deterministic controller hands the packed
+  executors, and the zero-sigma physical read);
 * the fast path stays on under degradation: a remapped shard's spare
-  chip contributes its fault-free bits to the one packed read;
+  chip contributes its fault-free bits to the layer's effective bits;
 * spare provisioning is explicit: more dead macros than spares raises,
   chip-global maps must be rebased before reaching a layer;
 * degradation is visible: placements, floorplan reports and repr all
@@ -17,6 +18,7 @@ Contracts under test:
 import numpy as np
 import pytest
 
+from repro.nn.binary import xnor_popcount
 from repro.rram import (AcceleratorConfig, FaultMap, MacroGeometry,
                         MemoryController, ShardedController, trial_streams)
 
@@ -40,15 +42,19 @@ class TestRemapEquivalence:
     def test_killed_macro_matches_monolithic(self, weights, x_bits,
                                              fast_path):
         config = AcceleratorConfig(ideal=True)
-        mono = MemoryController(weights, config)
+        mono = MemoryController(weights, config, fast_path=False)
         sharded = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24),
                                     fault_map=_dead_map(1, 5),
                                     fast_path=fast_path)
         assert sharded.degraded
         assert tuple(sharded.remapped_shards) == (1, 5)
-        assert np.array_equal(sharded.popcounts(x_bits),
-                              mono.popcounts(x_bits))
+        if fast_path:
+            assert np.array_equal(sharded.effective_bits, weights)
+            counts = xnor_popcount(x_bits, sharded.effective_bits)
+        else:
+            counts = sharded.popcounts(x_bits)
+        assert np.array_equal(counts, mono.popcounts(x_bits))
 
     def test_fast_path_survives_degradation(self, weights, x_bits):
         config = AcceleratorConfig(ideal=True)
@@ -57,9 +63,10 @@ class TestRemapEquivalence:
                                     fault_map=_dead_map(0))
         healthy = ShardedController(weights, config=config,
                                     macro=MacroGeometry(8, 24))
-        assert np.array_equal(sharded.popcounts(x_bits),
-                              healthy.popcounts(x_bits))
-        # Both read through the one packed kernel, not a per-shard loop.
+        assert np.array_equal(sharded.effective_bits,
+                              healthy.effective_bits)
+        # Both hand the packed executors one stitched weight matrix,
+        # never a per-shard loop.
         assert sharded.fast_path and healthy.fast_path
 
     def test_physical_path_remap(self, weights, x_bits):
@@ -98,8 +105,9 @@ class TestRemapEquivalence:
                                      fault_map=fm, fast_path=False)
         assert fast.fast_path and not physical.fast_path
         assert sum(s.n_stuck_cells for s in physical.shards) > 0
-        assert np.array_equal(fast.popcounts(x_bits),
+        assert np.array_equal(xnor_popcount(x_bits, fast.effective_bits),
                               physical.popcounts(x_bits))
+        fast.meter_reads(len(x_bits), trials=1)
         assert fast.sense_ops == physical.sense_ops
         assert fast.popcount_bit_ops == physical.popcount_bit_ops
 
@@ -119,14 +127,13 @@ class TestProvisioning:
                               macro=MacroGeometry(8, 24),
                               fault_map=_dead_map(0, 1), spares=1)
 
-    def test_zero_spares_healthy_map_ok(self, weights, x_bits):
+    def test_zero_spares_healthy_map_ok(self, weights):
         sharded = ShardedController(weights,
                                     config=AcceleratorConfig(ideal=True),
                                     macro=MacroGeometry(8, 24), spares=0)
         assert not sharded.degraded
         mono = MemoryController(weights, AcceleratorConfig(ideal=True))
-        assert np.array_equal(sharded.popcounts(x_bits),
-                              mono.popcounts(x_bits))
+        assert np.array_equal(sharded.effective_bits, mono.effective_bits)
 
     def test_chip_global_map_must_be_rebased(self, weights):
         with pytest.raises(ValueError, match="rebased"):

@@ -5,7 +5,9 @@ weights stored as SECDED codewords on real simulated devices, fetched
 through the decoder once per scan. Contracts under test:
 
 * noise-free, fault-free stores are bit-identical to the bare
-  MemoryController (the code is systematic — data bits round-trip);
+  MemoryController (the code is systematic — data bits round-trip), and
+  a deterministic store's decoded ``effective_bits`` run on the packed
+  executors;
 * sparse stuck-at faults are fully corrected where bare storage shows
   count errors, and the correction meters record the work;
 * the trial-stream contract holds on the noisy path (batched == serial);
@@ -16,9 +18,11 @@ through the decoder once per scan. Contracts under test:
 import numpy as np
 import pytest
 
+from repro.nn.binary import FoldedOutputDense, xnor_popcount
 from repro.rram import (AcceleratorConfig, EccMemoryController, FaultMap,
                         HammingCode, LifetimeConfig, MemoryController,
                         trial_streams)
+from repro.runtime import RRAMBackend, plan_from_folded
 
 
 @pytest.fixture
@@ -54,15 +58,16 @@ class TestFaultFreeIdentity:
         bare = MemoryController(weights, config)
         ecc = EccMemoryController(weights, config)
         assert ecc.fast_path
-        assert np.array_equal(ecc.popcounts(x_bits),
-                              bare.popcounts(x_bits))
+        assert np.array_equal(ecc.effective_bits, bare.effective_bits)
+        assert np.array_equal(xnor_popcount(x_bits, ecc.effective_bits),
+                              xnor_popcount(x_bits, weights))
         assert ecc.ecc_words_corrected == 0
 
     def test_noisy_ideal_physical_matches_too(self, weights, x_bits):
         """fast_path=False with a noise-free config: real arrays, zero
         sigma — the decode must still be exact."""
         config = AcceleratorConfig(ideal=True)
-        bare = MemoryController(weights, config)
+        bare = MemoryController(weights, config, fast_path=False)
         ecc = EccMemoryController(weights, config, fast_path=False)
         out = ecc.popcounts(x_bits, rng=np.random.default_rng(0))
         assert np.array_equal(out, bare.popcounts(x_bits))
@@ -75,14 +80,16 @@ class TestCorrection:
         every one."""
         config = AcceleratorConfig(ideal=True)
         fm = FaultMap(stuck_lrs=0.0015, stuck_hrs=0.0015, seed=0)
-        truth = MemoryController(weights, config).popcounts(x_bits)
+        truth = xnor_popcount(x_bits, weights)
         bare = MemoryController(weights, config, fault_map=fm,
                                 fault_key=(0,))
         ecc = EccMemoryController(weights, config, fault_map=fm,
                                   fault_key=(0,))
         assert ecc.n_stuck_cells > 0
-        bare_errors = int((bare.popcounts(x_bits) != truth).sum())
-        ecc_errors = int((ecc.popcounts(x_bits) != truth).sum())
+        bare_errors = int(
+            (xnor_popcount(x_bits, bare.effective_bits) != truth).sum())
+        ecc_errors = int(
+            (xnor_popcount(x_bits, ecc.effective_bits) != truth).sum())
         assert bare_errors > 0
         assert ecc_errors == 0
         assert ecc.ecc_words_corrected > 0
@@ -110,10 +117,17 @@ class TestTrialContract:
         assert np.array_equal(batched, serial)
 
     def test_fast_shared_input_broadcast(self, weights, x_bits):
-        ecc = EccMemoryController(weights, AcceleratorConfig(ideal=True))
-        out = ecc.popcounts_trials(x_bits, trial_streams(0, 3))
+        """A deterministic store runs once on the packed executors and
+        its plan broadcasts the result over the trial axis."""
+        folded = FoldedOutputDense(weights, scale=np.ones(16),
+                                   offset=np.zeros(16))
+        plan = plan_from_folded([], folded, RRAMBackend(
+            AcceleratorConfig(ideal=True), ecc="secded"))
+        out = plan.scores_trials(x_bits, trials=3)
         assert out.shape == (3, 6, 16)
         assert np.array_equal(out[0], out[2])
+        assert np.array_equal(
+            out[0], plan_from_folded([], folded, "packed").scores(x_bits))
 
 
 class TestLifetimeInteraction:
@@ -128,8 +142,7 @@ class TestLifetimeInteraction:
         makes fewer count errors behind SECDED than bare."""
         config = AcceleratorConfig()
         lt = LifetimeConfig.years(10, temp_c=125.0)
-        truth = MemoryController(
-            weights, AcceleratorConfig(ideal=True)).popcounts(x_bits)
+        truth = xnor_popcount(x_bits, weights)
         bare = MemoryController(weights, config,
                                 np.random.default_rng(0), lifetime=lt)
         ecc = EccMemoryController(weights, config,

@@ -5,11 +5,14 @@ Contracts under test, for ``MemoryController``, ``EccMemoryController``,
 
 * ``fast_path`` is a plain bool; any other value (the retired
   ``"auto"`` included) raises a ``ValueError`` naming the knob;
-* ``True`` takes the packed path exactly when reads are deterministic,
-  and silently falls back to device simulation on a noisy configuration
-  or under retention aging instead of raising;
+* ``True`` builds no device state exactly when reads are deterministic
+  (the controller exposes ``effective_bits`` instead), and silently
+  falls back to device simulation on a noisy configuration or under
+  retention aging instead of raising;
 * ``False`` always simulates devices;
-* a sharded controller's packed words are the layer's effective bits:
+* a deterministic controller refuses direct reads before any meter
+  moves, also when the read carries a noisy sense override;
+* a sharded controller's effective bits are stitched from its chips:
   each healthy shard's stuck cells applied, a remapped (dead) shard's
   slice left as stored, because its spare chip is healthy.
 """
@@ -17,7 +20,6 @@ Contracts under test, for ``MemoryController``, ``EccMemoryController``,
 import numpy as np
 import pytest
 
-from repro.nn import unpack_bits
 from repro.nn.binary import FoldedBinaryDense
 from repro.rram import (AcceleratorConfig, DeviceParameters,
                         EccMemoryController, FaultMap, LifetimeConfig,
@@ -92,15 +94,15 @@ def test_true_packs_deterministic_reads_and_false_simulates(build,
     config = AcceleratorConfig(ideal=True)
     fast = build(weights, config, True, None)
     physical = build(weights, config, False, None)
-    assert fast.fast_path and fast.weight_words is not None
-    assert not physical.fast_path and physical.weight_words is None
+    assert fast.fast_path and fast.effective_bits is not None
+    assert not physical.fast_path and physical.effective_bits is None
 
 
 @BUILDERS
 def test_true_falls_back_on_noisy_config(build, weights):
     controller = build(weights, _noisy_config(), True, None)
     assert not controller.fast_path
-    assert controller.weight_words is None
+    assert controller.effective_bits is None
 
 
 @BUILDERS
@@ -108,10 +110,28 @@ def test_true_falls_back_when_aged(build, weights):
     controller = build(weights, AcceleratorConfig(ideal=True), True,
                        LifetimeConfig.years(5, temp_c=125.0))
     assert not controller.fast_path
-    assert controller.weight_words is None
+    assert controller.effective_bits is None
 
 
-def test_sharded_words_are_the_effective_bits(rng):
+@pytest.mark.parametrize("build", [_monolithic, _ecc, _sharded],
+                         ids=["monolithic", "ecc", "sharded"])
+def test_deterministic_controller_refuses_reads_before_metering(build,
+                                                                weights):
+    controller = build(weights, AcceleratorConfig(ideal=True), True, None)
+    x = np.ones((3, weights.shape[1]), dtype=np.uint8)
+    before = (controller.sense_ops, controller.popcount_bit_ops)
+    for read in (
+            lambda: controller.popcounts(
+                x, sense=SenseParameters(offset_sigma=0.5)),
+            lambda: controller.popcounts(x),
+            lambda: controller.popcounts_trials(x, [controller.rng] * 2)):
+        with pytest.raises(ValueError, match="fast_path=False"):
+            read()
+        assert (controller.sense_ops,
+                controller.popcount_bit_ops) == before
+
+
+def test_sharded_effective_bits_are_stitched_from_its_chips(rng):
     weights = rng.integers(0, 2, (37, 131)).astype(np.uint8)
     fault_map = FaultMap(stuck_lrs=0.05, stuck_hrs=0.05, dead_macros=(3,),
                          seed=11)
@@ -120,7 +140,7 @@ def test_sharded_words_are_the_effective_bits(rng):
                                    macro=MacroGeometry(8, 24),
                                    fault_map=fault_map)
     assert controller.fast_path and controller.remapped_shards == [3]
-    effective = unpack_bits(controller.weight_words, weights.shape[1])
+    effective = controller.effective_bits
     expected = weights.copy()
     for s in controller.shard_map:
         block = (slice(s.row_start, s.row_stop),

@@ -17,6 +17,7 @@ The contracts under test:
 import numpy as np
 import pytest
 
+from repro.nn.binary import xnor_popcount
 from repro.rram import (AcceleratorConfig, FaultMap, LifetimeConfig,
                         MemoryController, RRAMArray, RetentionModel,
                         site_stream, trial_streams)
@@ -166,8 +167,7 @@ class TestControllerReliabilityLayer:
         wired = MemoryController(weights, config, fault_map=FaultMap(),
                                  lifetime=LifetimeConfig())
         assert wired.fast_path
-        assert np.array_equal(plain.popcounts(x_bits),
-                              wired.popcounts(x_bits))
+        assert np.array_equal(plain.effective_bits, wired.effective_bits)
 
     def test_empty_map_inactive_lifetime_identity_noisy(self, weights,
                                                         x_bits):
@@ -193,12 +193,10 @@ class TestControllerReliabilityLayer:
                                    fault_key=(0,))
         other = MemoryController(weights, config, fault_map=fm,
                                  fault_key=(1,))
-        assert not np.array_equal(plain.popcounts(x_bits),
-                                  faulty1.popcounts(x_bits))
-        assert np.array_equal(faulty1.popcounts(x_bits),
-                              faulty2.popcounts(x_bits))
-        assert not np.array_equal(faulty1.popcounts(x_bits),
-                                  other.popcounts(x_bits))
+        counts = lambda c: xnor_popcount(x_bits, c.effective_bits)
+        assert not np.array_equal(counts(plain), counts(faulty1))
+        assert np.array_equal(counts(faulty1), counts(faulty2))
+        assert not np.array_equal(counts(faulty1), counts(other))
 
     def test_fast_and_physical_paths_agree_on_faults(self, weights,
                                                      x_bits):
@@ -213,7 +211,7 @@ class TestControllerReliabilityLayer:
                                 fault_key=(0,), fast_path=False)
         assert fast.fast_path and not phys.fast_path
         assert np.array_equal(
-            fast.popcounts(x_bits),
+            xnor_popcount(x_bits, fast.effective_bits),
             phys.popcounts(x_bits, rng=np.random.default_rng(0)))
 
     def test_lifetime_disables_fast_path(self, weights):
@@ -243,8 +241,7 @@ class TestControllerReliabilityLayer:
         aged = MemoryController(weights, config, np.random.default_rng(0),
                                 lifetime=LifetimeConfig.years(
                                     30, temp_c=125.0))
-        ideal = MemoryController(weights, AcceleratorConfig(ideal=True))
-        truth = ideal.popcounts(x_bits)
+        truth = xnor_popcount(x_bits, weights)
         err_fresh = int((fresh.popcounts(
             x_bits, rng=np.random.default_rng(1)) != truth).sum())
         err_aged = int((aged.popcounts(

@@ -8,7 +8,7 @@ from repro.nn.binary import FoldedBinaryDense, FoldedOutputDense
 from repro.rram import (AcceleratorConfig, DeviceParameters, RRAMArray,
                         SenseParameters, read_bit_errors, trial_streams)
 from repro.rram.mc import trial_chunks
-from repro.runtime import RRAMBackend, plan_from_folded
+from repro.runtime import RRAMBackend, ShardedRRAMBackend, plan_from_folded
 
 
 def _programmed_array(mode="2T2R", rows=12, cols=20, seed=0, wear=10 ** 8):
@@ -29,6 +29,18 @@ def _dense_hw(seed=0, out_features=24, in_features=50, sigma=0.15):
     config = AcceleratorConfig(sense=SenseParameters(offset_sigma=sigma))
     return folded, RRAMBackend(config, np.random.default_rng(seed + 1),
                                fast_path=False).prepare_dense(folded)
+
+
+def _deterministic_stack():
+    """A hidden + output folded stack and a batch of input bits."""
+    rng = np.random.default_rng(0)
+    hidden = FoldedBinaryDense(
+        rng.integers(0, 2, (8, 40)).astype(np.uint8),
+        theta=np.zeros(8), gamma_sign=np.ones(8), beta_sign=np.ones(8))
+    output = FoldedOutputDense(
+        rng.integers(0, 2, (3, 8)).astype(np.uint8),
+        scale=rng.uniform(0.5, 1.5, 3), offset=rng.standard_normal(3))
+    return hidden, output, rng.integers(0, 2, (6, 40)).astype(np.uint8)
 
 
 class TestTrialStreams:
@@ -143,17 +155,20 @@ class TestControllerTrialScans:
         native = rebuilt.forward_bits_trials(x, trial_streams(8, 4))
         assert np.array_equal(override, native)
 
-    def test_fast_path_trials_coincide(self):
-        rng = np.random.default_rng(0)
-        folded = FoldedBinaryDense(
-            rng.integers(0, 2, (8, 40)).astype(np.uint8),
-            theta=np.zeros(8), gamma_sign=np.ones(8), beta_sign=np.ones(8))
-        hw = RRAMBackend(AcceleratorConfig(ideal=True),
-                         np.random.default_rng(1)).prepare_dense(folded)
+    @pytest.mark.parametrize("backend", [RRAMBackend, ShardedRRAMBackend])
+    def test_fast_path_trials_coincide(self, backend):
+        """A deterministic layer has no trial axis of its own: its plan
+        runs it once and broadcasts."""
+        hidden, output, x = _deterministic_stack()
+        plan = plan_from_folded([hidden], output, backend(
+            AcceleratorConfig(ideal=True), rng=np.random.default_rng(1)))
+        hw = plan.layer_ops[0].executor
         assert hw.controller.fast_path
-        x = rng.integers(0, 2, (6, 40)).astype(np.uint8)
-        out = hw.forward_bits_trials(x, trial_streams(0, 3))
-        assert np.array_equal(out[0], folded.forward_bits(x))
+        assert not hasattr(hw, "forward_bits_trials")
+        assert np.array_equal(hw.forward_bits(x), hidden.forward_bits(x))
+        out = plan.scores_trials(x, trials=3)
+        assert np.array_equal(out[0], plan_from_folded(
+            [hidden], output, "reference").scores(x))
         assert np.array_equal(out[0], out[1]) and np.array_equal(
             out[1], out[2])
 
@@ -163,26 +178,23 @@ class TestControllerTrialScans:
             hw.controller.popcounts_trials(
                 np.zeros((3, 7), dtype=np.uint8), trial_streams(0, 2))
 
-    def test_fast_path_refuses_noisy_sense_override(self):
-        # A fast-path controller has no margins; a noisy override must
+    @pytest.mark.parametrize("backend", [RRAMBackend, ShardedRRAMBackend])
+    def test_fast_path_refuses_noisy_sense_override(self, backend):
+        # A deterministic plan has no margins; a noisy override must
         # raise instead of silently returning deterministic results.
-        rng = np.random.default_rng(0)
-        folded = FoldedBinaryDense(
-            rng.integers(0, 2, (8, 40)).astype(np.uint8),
-            theta=np.zeros(8), gamma_sign=np.ones(8), beta_sign=np.ones(8))
-        hw = RRAMBackend(AcceleratorConfig(ideal=True),
-                         np.random.default_rng(1)).prepare_dense(folded)
-        x = rng.integers(0, 2, (4, 40)).astype(np.uint8)
+        hidden, output, x = _deterministic_stack()
+        plan = plan_from_folded([hidden], output, backend(
+            AcceleratorConfig(ideal=True), rng=np.random.default_rng(1)))
         noisy = SenseParameters(offset_sigma=0.5)
         with pytest.raises(ValueError, match="fast_path=False"):
-            hw.forward_bits_trials(x, trial_streams(0, 2), sense=noisy)
+            plan.scores_trials(x, trials=2, sense=noisy)
         with pytest.raises(ValueError, match="fast_path=False"):
-            hw.forward_bits_trials(x, [hw.controller.rng], sense=noisy)
+            plan.scores_trials(x, trials=1, sense=noisy)
         # A zero-sigma override is honoured trivially (no noise to draw).
-        out = hw.forward_bits_trials(
-            x, [hw.controller.rng],
-            sense=SenseParameters(offset_sigma=0.0))[0]
-        assert np.array_equal(out, folded.forward_bits(x))
+        out = plan.scores_trials(x, trials=1,
+                                 sense=SenseParameters(offset_sigma=0.0))
+        assert np.array_equal(out[0], plan_from_folded(
+            [hidden], output, "reference").scores(x))
 
 
 class TestConvTrialReads:

@@ -3,7 +3,9 @@
 
 The contracts under test: the shard-and-reduce dataflow is bit-identical
 to the monolithic controller on noise-free configurations (partial
-popcounts decompose exactly over fan-in slices), and noisy reads follow
+popcounts decompose exactly over fan-in slices, so a deterministic
+controller's stitched ``effective_bits`` equal the monolithic ones and
+its arithmetic meters equal the physical scans), and noisy reads follow
 the per-(shard, trial) stream contract — trial-batched execution equals a
 serial per-trial loop for any trial chunking, with every chip drawing
 independent sense noise.
@@ -12,9 +14,11 @@ independent sense noise.
 import numpy as np
 import pytest
 
+from repro.nn.binary import FoldedBinaryDense, xnor_popcount
 from repro.rram import (AcceleratorConfig, DeviceParameters, LayerPlacement,
                         MacroGeometry, MemoryController, SenseParameters,
                         ShardedController, shard_streams, trial_streams)
+from repro.runtime import ShardedRRAMBackend
 
 
 def _set_read_budget(budget, *controllers):
@@ -49,16 +53,14 @@ def x_bits(rng):
 class TestNoiseFreeEquivalence:
     @pytest.mark.parametrize("geometry", [(32, 32), (7, 13), (8, 24),
                                           (64, 256), (37, 131)])
-    def test_matches_monolithic_bit_for_bit(self, weights, x_bits,
-                                            geometry):
+    def test_matches_monolithic_bit_for_bit(self, weights, geometry):
         config = AcceleratorConfig(ideal=True)
         mono = MemoryController(weights, config, np.random.default_rng(1))
         sharded = ShardedController(weights, config=config,
                                     rng=np.random.default_rng(2),
                                     macro=MacroGeometry(*geometry))
         assert sharded.fast_path
-        assert np.array_equal(sharded.popcounts(x_bits),
-                              mono.popcounts(x_bits))
+        assert np.array_equal(sharded.effective_bits, mono.effective_bits)
 
     def test_noise_free_but_physical_path_matches_too(self, weights,
                                                       x_bits):
@@ -102,7 +104,8 @@ class TestNoiseFreeEquivalence:
 
     def test_bad_input_shape_raises(self, weights):
         sharded = ShardedController(weights,
-                                    config=AcceleratorConfig(ideal=True))
+                                    config=AcceleratorConfig(ideal=True),
+                                    fast_path=False)
         with pytest.raises(ValueError, match="input shape"):
             sharded.popcounts(np.zeros((4, 7), dtype=np.uint8))
 
@@ -177,28 +180,21 @@ class TestNoisyTrials:
             sharded.popcounts(x_bits,
                               sense=SenseParameters(offset_sigma=0.5))
 
-    def test_fast_path_trials_coincide(self, weights, x_bits):
-        sharded = ShardedController(weights,
-                                    config=AcceleratorConfig(ideal=True),
-                                    macro=MacroGeometry(8, 16))
-        counts = sharded.popcounts_trials(x_bits, trial_streams(7, 3))
-        assert np.array_equal(counts[0], counts[1])
-        assert np.array_equal(counts[0], sharded.popcounts(x_bits))
-
     def test_fast_path_trials_meter_every_scan(self, weights, x_bits):
-        """Regression: a trial-batched fast-path scan must account T
-        scans on the ops meters, matching a serial per-trial loop."""
-        batched = ShardedController(weights,
-                                    config=AcceleratorConfig(ideal=True),
-                                    macro=MacroGeometry(8, 16))
-        batched.popcounts_trials(x_bits, trial_streams(7, 4))
-        serial = ShardedController(weights,
-                                   config=AcceleratorConfig(ideal=True),
-                                   macro=MacroGeometry(8, 16))
+        """Regression: metering ``T`` deterministic trials must account
+        T scans on the ops meters, matching a serial per-trial loop and
+        the physical trial scan."""
+        make = lambda fast_path: ShardedController(
+            weights, config=AcceleratorConfig(ideal=True),
+            macro=MacroGeometry(8, 16), fast_path=fast_path)
+        batched, serial, physical = make(True), make(True), make(False)
+        batched.meter_reads(len(x_bits), trials=4)
         for _ in range(4):
-            serial.popcounts(x_bits)
-        assert batched.sense_ops == serial.sense_ops
-        assert batched.popcount_bit_ops == serial.popcount_bit_ops
+            serial.meter_reads(len(x_bits), trials=1)
+        physical.popcounts_trials(x_bits, trial_streams(7, 4))
+        assert batched.sense_ops == serial.sense_ops == physical.sense_ops
+        assert batched.popcount_bit_ops == serial.popcount_bit_ops \
+            == physical.popcount_bit_ops
 
     def test_wear_and_reprogram_touch_every_chip(self, sharded):
         sharded.wear(1000)
@@ -211,9 +207,9 @@ class TestNoisyTrials:
 
 
 class TestFastPath:
-    """The sharded fast path: one packed popcount over the layer's
-    effective bits, bit-identical to the zero-sigma physical sharded path
-    and the monolithic controller, with meters accounted arithmetically."""
+    """The sharded fast path: the layer's effective bits, whose popcount
+    is bit-identical to the zero-sigma physical sharded path and the
+    monolithic controller, with meters accounted arithmetically."""
 
     def _pair(self, weights, geometry):
         """(fast, zero-sigma physical reference) on one geometry."""
@@ -231,8 +227,9 @@ class TestFastPath:
                                                   geometry):
         fast, reference = self._pair(weights, geometry)
         assert fast.fast_path and not reference.fast_path
-        mono = MemoryController(weights, AcceleratorConfig(ideal=True))
-        counts = fast.popcounts(x_bits)
+        mono = MemoryController(weights, AcceleratorConfig(ideal=True),
+                                fast_path=False)
+        counts = xnor_popcount(x_bits, fast.effective_bits)
         assert np.array_equal(counts, reference.popcounts(x_bits))
         assert np.array_equal(counts, mono.popcounts(x_bits))
 
@@ -240,43 +237,47 @@ class TestFastPath:
                                                      x_bits):
         fast, reference = self._pair(weights, (64, 256))
         assert fast.n_shards == 1 and fast.fast_path
-        assert np.array_equal(fast.popcounts(x_bits),
+        assert np.array_equal(xnor_popcount(x_bits, fast.effective_bits),
                               reference.popcounts(x_bits))
 
     def test_empty_batch(self, weights):
-        fast, reference = self._pair(weights, (8, 16))
+        _, reference = self._pair(weights, (8, 16))
         empty = np.zeros((0, 131), dtype=np.uint8)
-        assert fast.popcounts(empty).shape == (0, 37)
+        fast = ShardedRRAMBackend(AcceleratorConfig(ideal=True),
+                                  macro=MacroGeometry(8, 16)).prepare_dense(
+            FoldedBinaryDense(weights, theta=np.zeros(37),
+                              gamma_sign=np.ones(37), beta_sign=np.ones(37)))
+        assert fast.forward_bits(empty).shape == (0, 37)
+        assert fast.controller.sense_ops == 0
         assert reference.popcounts(empty).shape == (0, 37)
 
     @pytest.mark.parametrize("budget", [1, 300, 9000, None])
     def test_trials_shared_activations(self, weights, x_bits, budget):
         fast, reference = self._pair(weights, (7, 13))
-        _set_read_budget(budget, fast, reference)
-        a = fast.popcounts_trials(x_bits, trial_streams(7, 5))
+        _set_read_budget(budget, reference)
         b = reference.popcounts_trials(x_bits, trial_streams(7, 5))
-        assert np.array_equal(a, b)
-        assert np.array_equal(a[0], fast.popcounts(x_bits))
+        counts = xnor_popcount(x_bits, fast.effective_bits)
+        assert all(np.array_equal(trial, counts) for trial in b)
 
     @pytest.mark.parametrize("budget", [1, 300, 9000, None])
     def test_trials_per_trial_activations(self, weights, rng, budget):
         fast, reference = self._pair(weights, (7, 13))
-        _set_read_budget(budget, fast, reference)
+        _set_read_budget(budget, reference)
         x = rng.integers(0, 2, (5, 9, 131)).astype(np.uint8)
-        a = fast.popcounts_trials(x, trial_streams(7, 5))
         b = reference.popcounts_trials(x, trial_streams(7, 5))
-        assert np.array_equal(a, b)
-        serial = np.stack([fast.popcounts(x[t]) for t in range(5)])
-        assert np.array_equal(a, serial)
+        serial = np.stack([xnor_popcount(x[t], fast.effective_bits)
+                           for t in range(5)])
+        assert np.array_equal(b, serial)
 
     def test_meters_match_reference_exactly(self, weights, x_bits, rng):
         fast, reference = self._pair(weights, (8, 16))
         per_trial = rng.integers(0, 2, (3, 9, 131)).astype(np.uint8)
-        for ctrl in (fast, reference):
-            ctrl.popcounts(x_bits)
-            ctrl.popcounts_trials(x_bits, trial_streams(7, 4))
-            _set_read_budget(300, ctrl)
-            ctrl.popcounts_trials(per_trial, trial_streams(7, 3))
+        reference.popcounts(x_bits)
+        reference.popcounts_trials(x_bits, trial_streams(7, 4))
+        _set_read_budget(300, reference)
+        reference.popcounts_trials(per_trial, trial_streams(7, 3))
+        for trials in (1, 4, 3):
+            fast.meter_reads(len(x_bits), trials)
         assert fast.sense_ops == reference.sense_ops
         assert fast.popcount_bit_ops == reference.popcount_bit_ops
 
@@ -287,7 +288,7 @@ class TestFastPath:
                                     device_mismatch=1.0),
             sense=SenseParameters(offset_sigma=0.5))
         noisy = ShardedController(weights, config=config)
-        assert not noisy.fast_path and noisy.weight_words is None
+        assert not noisy.fast_path and noisy.effective_bits is None
 
     def test_invalid_stacked_value_raises(self, weights):
         """No ``stacked`` option exists: ``fast_path`` alone picks the

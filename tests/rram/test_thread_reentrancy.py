@@ -178,5 +178,9 @@ class TestMeterLockPlumbing:
                                       AcceleratorConfig(ideal=True))
         clone = pickle.loads(pickle.dumps(controller))
         assert isinstance(clone._meter_lock, type(threading.Lock()))
-        x = np.zeros((1, controller.in_features), dtype=np.uint8)
-        assert np.array_equal(clone.popcounts(x), controller.popcounts(x))
+        assert np.array_equal(clone.effective_bits,
+                              controller.effective_bits)
+        for meters in (clone, controller):
+            meters.meter_reads(1, trials=1)
+        assert (clone.sense_ops, clone.popcount_bit_ops) == \
+            (controller.sense_ops, controller.popcount_bit_ops) != (0, 0)

@@ -210,6 +210,33 @@ class TestFixturePlan:
             assert np.array_equal(handle.scores, plan.scores(request))
         server.close()
 
+    @pytest.mark.parametrize("backend", ["rram", "sharded"])
+    def test_noise_free_in_memory_plans_serve_like_packed(self, eeg_plan,
+                                                         backend):
+        """Noise-free rram and sharded plans run the packed executors
+        over their chips' effective bits, so the daemon serves them and
+        answers byte for byte like the packed plan."""
+        from repro.io import load_compiled
+        from repro.rram import AcceleratorConfig
+        from repro.runtime import RRAMBackend, ShardedRRAMBackend
+
+        artifact, packed = eeg_plan
+        build = {"rram": RRAMBackend, "sharded": ShardedRRAMBackend}[backend]
+        plan = load_compiled(artifact,
+                             backend=build(AcceleratorConfig(ideal=True)))
+        rng = np.random.default_rng(2)
+        requests = [rng.integers(0, 2, (1,) + artifact.input_shape)
+                    .astype(np.uint8) for _ in range(12)]
+        server = PlanServer(plan, max_batch=4, window=200e-6,
+                            input_shape=artifact.input_shape)
+        handles = [server.submit(r) for r in requests]
+        for request, handle in zip(requests, handles):
+            assert handle.wait(30.0)
+            expected = packed.scores(request)
+            assert handle.scores.dtype == expected.dtype
+            assert handle.scores.tobytes() == expected.tobytes()
+        server.close()
+
     def test_dtype_defaults_follow_front_op(self, eeg_plan):
         # Float front (the eeg fixture's conv2d front) -> float64;
         # a raw bits front -> uint8, so admission canonicalization
