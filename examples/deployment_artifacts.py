@@ -15,8 +15,9 @@ artifact format:
    simulated RRAM chips run from the same file (the *factory* phase);
 4. verify the reloaded plans are bit-identical to plans compiled from the
    live model, and print the sharded floorplan the artifact programs;
-5. upgrade a legacy folded-classifier artefact with
-   `convert_folded_artifact` and run it from activation bits.
+5. save the classifier alone as a plan artifact
+   (`plan_from_folded(*fold_classifier_stack(model))`) and run it from
+   activation bits.
 
 Run:  python examples/deployment_artifacts.py
 """
@@ -30,14 +31,12 @@ from repro.data import ECGConfig, make_ecg_dataset
 from repro.experiments import (TrainConfig, artifact_agreement,
                                evaluate_accuracy, evaluate_compiled,
                                train_model)
-from repro.io import (convert_folded_artifact, load_compiled, load_model,
-                      load_plan, save_folded_classifier, save_model,
-                      save_plan)
+from repro.io import load_compiled, load_model, load_plan, save_model, save_plan
 from repro.models import BinarizationMode, ECGNet
 from repro.rram import (AcceleratorConfig, MacroGeometry,
                         classifier_input_bits)
 from repro.runtime import (RRAMBackend, ShardedRRAMBackend, compile,
-                           fold_classifier_stack)
+                           fold_classifier_stack, plan_from_folded)
 
 
 def main() -> None:
@@ -105,17 +104,16 @@ def main() -> None:
         loaded, backend=ShardedRRAMBackend(AcceleratorConfig(ideal=True)))
     print(sharded.floorplan().report())
 
-    print("\n6) Legacy folded-classifier artefacts convert in one call:")
-    legacy = workdir / "ecg_program.npz"
-    hidden, output = fold_classifier_stack(model)
-    save_folded_classifier(hidden, output, legacy)
-    upgraded = convert_folded_artifact(legacy)
+    print("\n6) A classifier-only plan artifact (activation bits in):")
+    classifier = save_plan(plan_from_folded(*fold_classifier_stack(model)),
+                           workdir / "ecg_classifier.npz")
     bits = classifier_input_bits(model, test_inputs)
-    from_legacy = load_compiled(upgraded, backend="packed")
-    reference = load_compiled(upgraded, backend="reference")
-    print(f"   {legacy.name} -> {upgraded.name}; packed == reference on "
-          f"classifier bits: "
-          f"{bool(np.array_equal(from_legacy.predict(bits), reference.predict(bits)))}")
+    packed = load_compiled(classifier, backend="packed")
+    reference = load_compiled(classifier, backend="reference")
+    identical = bool(np.array_equal(packed.predict(bits),
+                                    reference.predict(bits)))
+    print(f"   {classifier.name}: packed and reference predictions "
+          f"bit-identical on classifier bits: {identical}")
 
     print("\n7) Round-tripping the checkpoint restores the lab model:")
     fresh = ECGNet(mode=BinarizationMode.FULL_BINARY, n_samples=300,

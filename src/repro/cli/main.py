@@ -80,10 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="load a saved plan artifact (no model needed) and run "
              "inference on every backend, reporting agreement")
     deploy_cmd.add_argument("artifact",
-                            help="plan artifact written by 'compile "
-                                 "--save' or repro.io.save_plan (legacy "
-                                 "folded-classifier files are converted "
-                                 "on the fly)")
+                            help="plan or bundle artifact written by "
+                                 "'compile --save', 'compile "
+                                 "--save-bundle' or repro.io.save_plan")
     deploy_cmd.add_argument("--backend", default="all",
                             help="backend name, or 'all' (default) for "
                                  "reference/packed/ideal-rram/sharded")
@@ -163,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="admission queue depth in rows; requests "
                                 "past it are rejected with HTTP 429 "
                                 "(default 1024)")
-    serve_cmd.add_argument("--pad", action="store_true",
-                           help="zero-pad every flush to exactly "
-                                "--max-batch rows (fixed dispatch shape)")
     serve_cmd.add_argument("--request-timeout", type=float, default=30.0,
                            help="seconds a connection waits for its "
                                 "response before 504 (default 30)")
@@ -670,7 +666,7 @@ def _cmd_serve(artifact_path: str, backend_spec: str = "packed",
                macro_spec: str = "32x32", host: str = "127.0.0.1",
                port: int = 8373, max_batch: int = 256,
                batch_window_us: float = 200.0, max_queue: int = 1024,
-               pad: bool = False, request_timeout: float = 30.0,
+               request_timeout: float = 30.0,
                require_bundle: bool = False) -> int:
     """Run the always-on daemon until SIGTERM/SIGINT, then drain.
 
@@ -731,8 +727,7 @@ def _cmd_serve(artifact_path: str, backend_spec: str = "packed",
     try:
         server = PlanServer(plans, max_batch=max_batch,
                             window=batch_window_us * 1e-6,
-                            max_queue=max_queue, pad=pad,
-                            input_shape=shapes)
+                            max_queue=max_queue, input_shape=shapes)
     except ValueError as error:        # noisy plan, bad knobs
         raise SystemExit(str(error))
     front = HttpFront(server, host=host, port=port,
@@ -938,8 +933,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_serve(args.artifact, args.backend, args.macros,
                               args.host, args.port, args.max_batch,
                               args.batch_window, args.max_queue,
-                              args.pad, args.request_timeout,
-                              args.bundle)
+                              args.request_timeout, args.bundle)
         elif args.command == "train":
             print(_cmd_train(args.model, args.mode, args.noise_sigma,
                              args.epochs, args.seed, args.checkpoint,

@@ -10,9 +10,8 @@ of restarting.
 Results are stored as JSON Lines — one ``{"params": ..., "metrics": ...}``
 object per line — so completing a point is a single O(1) append instead of
 a rewrite of the whole result set, and the file can be post-processed with
-any JSON tooling (or plain ``grep``) without this library.  Legacy files
-written by earlier versions as one JSON array are migrated to the
-line-oriented layout the first time they are loaded.
+any JSON tooling (or plain ``grep``) without this library.  Any other
+layout (a single JSON array included) is refused on load.
 
 For multi-process execution of a grid see
 :mod:`repro.experiments.executor`, which dispatches missing points to a
@@ -80,17 +79,6 @@ class Sweep:
 
     def _load(self) -> None:
         text = self.path.read_text()
-        if text.lstrip().startswith("["):
-            # Legacy layout: one JSON array holding every record.  Parse it
-            # and rewrite as JSON Lines — a one-time migration, after which
-            # every completed point is an append.
-            records = json.loads(text)
-            if not isinstance(records, list):
-                raise ValueError(f"{self.path} is not a sweep result file")
-            for record in records:
-                self._results[_point_key(record["params"])] = record
-            self._rewrite()
-            return
         lines = [(i, line) for i, line in
                  enumerate(text.splitlines(), start=1) if line.strip()]
         for position, (lineno, line) in enumerate(lines):
@@ -132,15 +120,15 @@ class Sweep:
 
     # ------------------------------------------------------------------
     def _rewrite(self) -> None:
-        """Full rewrite (migration only — the hot path appends).
+        """Full rewrite (healing a torn final line only — the hot path
+        appends).
 
-        Atomic: the new layout lands in a sibling temp file and replaces
-        the original in one rename, so a crash mid-migration cannot
-        destroy previously persisted results.
+        Atomic: the healed file lands in a sibling temp file and replaces
+        the original in one rename, so a crash mid-rewrite cannot destroy
+        previously persisted results.
         """
         import os
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".migrating")
+        tmp = self.path.with_name(self.path.name + ".healing")
         tmp.write_text(
             "".join(_record_line(r) + "\n" for r in self._results.values()))
         os.replace(tmp, self.path)

@@ -9,8 +9,9 @@ it a *file*:
   :class:`~repro.runtime.ir.PlanOp`'s payload — packed weight words,
   integer thresholds, op kind and geometry metadata (fan-in, kernel and
   stride, pad/depthwise hints) plus the declarative periphery specs;
-* :func:`load_plan` reads it back (transparently converting legacy
-  folded-classifier artifacts) without touching the training stack;
+* :func:`load_plan` reads it back without touching the training stack,
+  refusing any other kind of file, a newer format version, and array
+  values that would score silently wrong;
 * :func:`load_compiled` rebinds the artifact to **any** registered
   backend (``reference`` / ``packed`` / ``rram`` / ``sharded`` / plug-
   ins) through ``resolve_backend`` + ``begin_plan`` + ``prepare_*`` —
@@ -154,48 +155,41 @@ def _model_payload(plan, *, allow_external_front_end: bool = False):
 
 
 def load_plan(path, *, model: str | None = None) -> PlanArtifact:
-    """Read a plan artifact (or convert a legacy folded classifier).
+    """Read a plan artifact.
 
-    Validates the format version — artifacts written by a newer repro
-    fail loudly instead of mis-deserializing.  Legacy
-    ``folded_classifier`` files are upgraded in memory (an activation-bit
-    passthrough front-end plus the dense stack); use
-    :func:`repro.io.convert_folded_artifact` to persist the upgrade.
+    Every single-plan load runs one path: the kind, the format version
+    (artifacts written by a newer repro fail loudly instead of
+    mis-deserializing), then the array value checks.  Any other kind of
+    file, a training checkpoint included, is refused by name.
 
     Bundle files load transparently: ``model=`` picks the tenant, and a
     one-tenant bundle needs no name at all.  For single-plan files
     ``model`` is ignored (so callers can pass it unconditionally).
     """
-    from repro.runtime.serialize import FORMAT_VERSION, plan_payload
-
     arrays, meta = read_npz(path)
     if meta.get("kind") == "plan_bundle":
         return _bundle_from_payload(arrays, meta, path).plan(model)
-    if meta.get("kind") == "folded_classifier":
-        from repro.io.folded import folded_from_arrays
-        from repro.runtime import plan_from_folded
+    return _plan_from_payload(arrays, meta, path)
 
-        hidden, output = folded_from_arrays(arrays, meta)
-        plan = plan_from_folded(hidden, output, backend="reference")
-        ops_meta, plan_arrays = plan_payload(plan)
-        for entry in ops_meta:
-            if entry["role"] in ("layer", "output"):
-                entry["weight_shape"] = list(
-                    plan_arrays[f"op{entry['index']}.weight_bits"].shape)
-        return PlanArtifact(
-            format_version=FORMAT_VERSION,
-            repro_version=meta.get("repro_version", "unknown"),
-            ops=ops_meta, arrays=plan_arrays,
-            meta={"kind": "compiled_plan", "converted_from":
-                  "folded_classifier",
-                  "input_shape": [int(output.in_features)
-                                  if not hidden
-                                  else int(hidden[0].in_features)],
-                  **{k: meta[k] for k in ("layer_shapes",) if k in meta}})
+
+def _plan_from_payload(arrays, meta, path) -> PlanArtifact:
+    """Validate a single-plan npz payload into a :class:`PlanArtifact`."""
     if meta.get("kind") != "compiled_plan":
         raise ValueError(
             f"{path} holds a {meta.get('kind')!r} artefact, not a "
             "compiled plan")
+    version = _check_version(meta, path)
+    _check_arrays(meta["ops"], arrays, path)
+    return PlanArtifact(format_version=version,
+                        repro_version=meta.get("repro_version", "unknown"),
+                        ops=meta["ops"], arrays=arrays, meta=meta)
+
+
+def _check_version(meta: dict, path) -> int:
+    """The artifact's ``format_version``, refused when malformed or newer
+    than this build reads."""
+    from repro.runtime.serialize import FORMAT_VERSION
+
     version = meta.get("format_version")
     if not isinstance(version, int) or version < 1:
         raise ValueError(f"{path} has a malformed format_version "
@@ -205,10 +199,7 @@ def load_plan(path, *, model: str | None = None) -> PlanArtifact:
             f"{path} was saved as plan-artifact format v{version}; this "
             f"repro build reads up to v{FORMAT_VERSION} — upgrade repro "
             "to load it")
-    _check_arrays(meta["ops"], arrays, path)
-    return PlanArtifact(format_version=version,
-                        repro_version=meta.get("repro_version", "unknown"),
-                        ops=meta["ops"], arrays=arrays, meta=meta)
+    return version
 
 
 def _check_arrays(ops: list[dict], arrays: dict, where) -> None:
@@ -392,17 +383,7 @@ def save_bundle(plans, path, *, overwrite: bool = False,
 
 def _bundle_from_payload(arrays, meta, path) -> BundleArtifact:
     """Demux a bundle npz payload into per-tenant :class:`PlanArtifact`s."""
-    from repro.runtime.serialize import FORMAT_VERSION
-
-    version = meta.get("format_version")
-    if not isinstance(version, int) or version < 1:
-        raise ValueError(f"{path} has a malformed format_version "
-                         f"({version!r})")
-    if version > FORMAT_VERSION:
-        raise ValueError(
-            f"{path} was saved as plan-artifact format v{version}; this "
-            f"repro build reads up to v{FORMAT_VERSION} — upgrade repro "
-            "to load it")
+    version = _check_version(meta, path)
     repro_version = meta.get("repro_version", "unknown")
     models: dict[str, PlanArtifact] = {}
     for index, model_meta in enumerate(meta["models"]):
@@ -427,15 +408,13 @@ def _bundle_from_payload(arrays, meta, path) -> BundleArtifact:
 
 
 def load_bundle(path) -> BundleArtifact:
-    """Read a bundle artifact; single-plan files (and legacy folded
-    classifiers) load transparently as a one-tenant bundle named after
-    the file stem.
+    """Read a bundle artifact; a single-plan file loads transparently as
+    a one-tenant bundle named after the file stem.  Both run the same
+    version and array checks as :func:`load_plan`.
 
     ``path`` may also be an already-loaded :class:`BundleArtifact` or
     :class:`PlanArtifact`.
     """
-    from repro.runtime.serialize import FORMAT_VERSION
-
     if isinstance(path, BundleArtifact):
         return path
     if isinstance(path, PlanArtifact):
@@ -447,8 +426,8 @@ def load_bundle(path) -> BundleArtifact:
     arrays, meta = read_npz(path)
     if meta.get("kind") == "plan_bundle":
         return _bundle_from_payload(arrays, meta, path)
-    # Single-plan (or legacy) file: one-tenant bundle, named by stem.
-    artifact = load_plan(path)
+    # Single-plan file: one-tenant bundle, named by stem.
+    artifact = _plan_from_payload(arrays, meta, path)
     name = pathlib.Path(str(path)).stem or "default"
     return BundleArtifact(
         format_version=artifact.format_version,

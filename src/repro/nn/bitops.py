@@ -315,21 +315,17 @@ class PackedBinaryDense:
         self.gamma_sign = folded.gamma_sign
         self.beta_sign = folded.beta_sign
 
-    def forward_words(self, x_words: np.ndarray) -> np.ndarray:
-        """Packed activations in, packed activations out."""
-        return pack_bits(self.forward_bits_from_words(x_words))
-
-    def forward_bits_from_words(self, x_words: np.ndarray) -> np.ndarray:
-        pc = packed_xnor_popcount(x_words, self.weight_words,
+    def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
+        """``(N, in_features)`` bits -> ``(N, out_features)`` bits."""
+        if x_bits.shape[-1] != self.in_features:    # packing would hide it
+            raise ValueError(f"bit-width mismatch: {x_bits.shape} vs "
+                             f"{self.in_features} inputs")
+        pc = packed_xnor_popcount(pack_bits(x_bits), self.weight_words,
                                   self.in_features)
         dot = 2 * pc - self.in_features
         return threshold_bits(dot, self.theta[None, :],
                               self.gamma_sign[None, :],
                               self.beta_sign[None, :])
-
-    def forward_bits(self, x_bits: np.ndarray) -> np.ndarray:
-        """Unpacked-in, unpacked-out convenience (packs internally)."""
-        return self.forward_bits_from_words(pack_bits(x_bits))
 
     def __repr__(self) -> str:
         return (f"PackedBinaryDense(in={self.in_features}, "
@@ -352,15 +348,15 @@ class PackedOutputDense:
         self.scale = folded.scale
         self.offset = folded.offset
 
-    def forward_scores_from_words(self, x_words: np.ndarray) -> np.ndarray:
-        pc = packed_xnor_popcount(x_words, self.weight_words,
+    def forward_scores(self, x_bits: np.ndarray) -> np.ndarray:
+        """Class scores from unpacked activation bits."""
+        if x_bits.shape[-1] != self.in_features:    # packing would hide it
+            raise ValueError(f"bit-width mismatch: {x_bits.shape} vs "
+                             f"{self.in_features} inputs")
+        pc = packed_xnor_popcount(pack_bits(x_bits), self.weight_words,
                                   self.in_features)
         dot = 2 * pc - self.in_features
         return dot * self.scale[None, :] + self.offset[None, :]
-
-    def forward_scores(self, x_bits: np.ndarray) -> np.ndarray:
-        """Class scores from unpacked activation bits."""
-        return self.forward_scores_from_words(pack_bits(x_bits))
 
     def predict(self, x_bits: np.ndarray) -> np.ndarray:
         """Predicted class labels from unpacked activation bits."""

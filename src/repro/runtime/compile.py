@@ -354,11 +354,12 @@ def plan_from_folded(hidden, output, backend="reference",
     The model-free companion of :func:`compile`: the plan's front-end is
     an activation-bit passthrough (the classic memory-controller input
     contract), so inputs are ``(N, in_features)`` uint8 bits — exactly
-    what :func:`repro.rram.classifier_input_bits` produces.  Used by the
-    legacy folded-artifact conversion path and anywhere a classifier
-    exists only as weight words + thresholds; ``plan_from_folded(
-    *fold_classifier_stack(model), backend=...)`` deploys a model's
-    classifier alone without switching the model to eval mode.
+    what :func:`repro.rram.classifier_input_bits` produces.  Used
+    anywhere a classifier exists only as weight words + thresholds;
+    ``plan_from_folded(*fold_classifier_stack(model), backend=...)``
+    deploys a model's classifier alone without switching the model to
+    eval mode, and :func:`repro.io.save_plan` on that plan writes the
+    classifier-only deployment artifact.
     """
     backend = resolve_backend(backend)
     backend.begin_plan()

@@ -21,12 +21,8 @@ Policy
   bound), whichever comes first.  A flush takes up to ``max_batch`` rows
   in strict FIFO order, splitting a request across flushes when it is
   larger than the batch (each part carries its row offset so the demux
-  can reassemble).
-* **Padding** (``pad=True``) zero-fills every flush to exactly
-  ``max_batch`` rows so the executor always dispatches one fixed batch
-  shape; ``rows`` records how many leading rows are real.  Off by
-  default — the packed kernels are exact for any N, so fixed shapes only
-  buy allocator reuse.
+  can reassemble).  A flush is never padded: the packed kernels are
+  exact for any N.
 """
 
 from __future__ import annotations
@@ -64,17 +60,19 @@ class BatchSlice:
 class Flush:
     """One coalesced executor dispatch: inputs plus demux directions.
 
-    ``inputs`` is ``(rows_padded,) + sample_shape`` with the first
-    ``rows`` rows real (``rows_padded == rows`` unless the batcher pads);
-    ``slices`` partitions those real rows among requests in FIFO order;
-    ``oldest_wait`` is how long the oldest row had been queued at flush
-    time (the batching-delay component of its latency).
+    ``inputs`` is ``(rows,) + sample_shape``; ``slices`` partitions
+    those rows among requests in FIFO order; ``oldest_wait`` is how long
+    the oldest row had been queued at flush time (the batching-delay
+    component of its latency).
     """
 
     inputs: np.ndarray
     slices: tuple[BatchSlice, ...]
-    rows: int
     oldest_wait: float
+
+    @property
+    def rows(self) -> int:
+        return len(self.inputs)
 
     @property
     def fill(self) -> int:
@@ -101,7 +99,7 @@ class MicroBatcher:
     """
 
     def __init__(self, max_batch: int = 256, window: float = 200e-6,
-                 max_queue: int = 1024, pad: bool = False):
+                 max_queue: int = 1024):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if window < 0:
@@ -111,7 +109,6 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.window = float(window)
         self.max_queue = int(max_queue)
-        self.pad = bool(pad)
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
 
@@ -194,12 +191,7 @@ class MicroBatcher:
             else:
                 head.offset += take
         inputs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if self.pad and taken < self.max_batch:
-            padded = np.zeros((self.max_batch,) + inputs.shape[1:],
-                              dtype=inputs.dtype)
-            padded[:taken] = inputs
-            inputs = padded
-        return Flush(inputs=inputs, slices=tuple(slices), rows=taken,
+        return Flush(inputs=inputs, slices=tuple(slices),
                      oldest_wait=oldest_wait)
 
     def drain(self, now: float):

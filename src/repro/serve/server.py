@@ -200,7 +200,7 @@ class PlanServer:
     """
 
     def __init__(self, plan, *, max_batch=256, window=200e-6,
-                 max_queue=1024, pad: bool = False, input_shape=None,
+                 max_queue=1024, input_shape=None,
                  dtype=None, model: str = "model",
                  stats: ServeStats | None = None):
         if isinstance(plan, Mapping):
@@ -226,8 +226,7 @@ class PlanServer:
             batcher = MicroBatcher(
                 max_batch=int(_per_model(max_batch, name, 256)),
                 window=float(_per_model(window, name, 200e-6)),
-                max_queue=int(_per_model(max_queue, name, 1024)),
-                pad=pad)
+                max_queue=int(_per_model(max_queue, name, 1024)))
             tenant_stats = ServeStats(model=name) if multi \
                 else (stats or ServeStats(model=name))
             self._tenants[name] = _Tenant(name, tenant_plan, batcher,
@@ -460,7 +459,7 @@ class PlanServer:
 
     def _execute(self, tenant: _Tenant, flush, depth: int) -> None:
         try:
-            scores = tenant.plan.scores(flush.inputs)[:flush.rows]
+            scores = tenant.plan.scores(flush.inputs)
         except Exception:
             # One poisoned request must not fail the flush around it:
             # rerun each slice alone (rows are independent, so a healthy

@@ -557,3 +557,24 @@ class TestRefusedArtifact:
         assert isinstance(message, str)     # a message exits with status 1
         assert str(bad) in message
         assert "op 0" in message and "'bn_var'" in message
+
+    @pytest.mark.parametrize("command", ["deploy", "serve"])
+    def test_folded_classifier_file_exits_with_one_line(self, tmp_path,
+                                                        command):
+        import numpy as np
+
+        from repro.io.common import write_npz
+
+        bits = np.ones((4, 16), dtype=np.uint8)
+        legacy = write_npz(tmp_path / "program.npz",
+                           {"output.weight_bits": bits,
+                            "output.scale": np.ones(1),
+                            "output.offset": np.zeros(1)},
+                           {"kind": "folded_classifier", "n_hidden": 0})
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(legacy)])
+        message = excinfo.value.code
+        assert isinstance(message, str)     # a message exits with status 1
+        assert "\n" not in message
+        assert str(legacy) in message
+        assert "'folded_classifier' artefact, not a compiled plan" in message

@@ -143,19 +143,18 @@ class TestJsonlStore:
         assert path.read_text().startswith(first_two)
         assert len(path.read_text().splitlines()) == 3
 
-    def test_legacy_json_array_migrates_once(self, tmp_path):
-        path = tmp_path / "legacy.json"
+    @pytest.mark.parametrize("indent", [1, None])
+    def test_json_array_file_refused_untouched(self, tmp_path, indent):
+        # JSON Lines is the only layout: an array file (indented or on one
+        # line) is refused, and the refusal never rewrites the file.
+        path = tmp_path / "array.json"
         records = [{"params": {"x": 1}, "metrics": {"y": 1.0}},
                    {"params": {"x": 2}, "metrics": {"y": 4.0}}]
-        path.write_text(json.dumps(records, indent=1))
-        sweep = Sweep(path, self.square)
-        assert len(sweep) == 2
-        assert sweep.result({"x": 2}) == {"y": 4.0}
-        # The file is now line-oriented and loads as such.
-        text = path.read_text()
-        assert not text.lstrip().startswith("[")
-        assert [json.loads(line) for line in text.splitlines()] == records
-        assert len(Sweep(path, self.square)) == 2
+        path.write_text(json.dumps(records, indent=indent))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="is not a sweep"):
+            Sweep(path, self.square)
+        assert path.read_bytes() == before
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "s.jsonl"

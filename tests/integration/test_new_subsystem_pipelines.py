@@ -13,7 +13,7 @@ from repro.experiments import (TrainConfig, evaluate_accuracy,
                                evaluate_report, train_model)
 from repro.metrics import accuracy as metric_accuracy
 from repro.models import BinarizationMode, ECGNet
-from repro.nn import PackedBinaryDense, pack_bits
+from repro.nn import PackedBinaryDense
 from repro.rram import (AcceleratorConfig, AnalogConfig, AnalogLinear,
                         MacroGeometry, classifier_input_bits, plan_classifier)
 from repro.runtime import RRAMBackend, fold_classifier_stack, plan_from_folded
@@ -77,11 +77,9 @@ class TestPackedKernelDeployment:
         hardware = _ideal_chip(model)
         bits = classifier_input_bits(model, test_x)
 
-        words = pack_bits(bits)
+        hidden_bits = bits
         for folded in hidden:
-            words = PackedBinaryDense(folded).forward_words(words)
-        from repro.nn import unpack_bits
-        hidden_bits = unpack_bits(words, output.in_features)
+            hidden_bits = PackedBinaryDense(folded).forward_bits(hidden_bits)
         scores = output.forward_scores(hidden_bits)
         assert np.array_equal(scores.argmax(axis=1),
                               hardware.predict(bits))

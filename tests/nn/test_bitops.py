@@ -125,7 +125,7 @@ class TestPackedBinaryDense:
         p1, p2 = PackedBinaryDense(first), PackedBinaryDense(second)
         rng = np.random.default_rng(7)
         x = rng.integers(0, 2, size=(16, 150)).astype(np.uint8)
-        packed_out = p2.forward_bits_from_words(p1.forward_words(pack_bits(x)))
+        packed_out = p2.forward_bits(p1.forward_bits(x))
         unpacked_out = second.forward_bits(first.forward_bits(x))
         assert np.array_equal(packed_out, unpacked_out)
 

@@ -28,7 +28,7 @@ from repro.rram import AcceleratorConfig, InMemoryDenseLayer, \
     InMemoryOutputLayer
 from repro.rram.conv import FoldedBinaryConv1d, InMemoryConv1dLayer
 from repro.rram.conv2d import FoldedBinaryConv2d, InMemoryConv2dLayer
-from repro.runtime import RRAMBackend, ShardedRRAMBackend
+from repro.runtime import RRAMBackend, ShardedRRAMBackend, resolve_backend
 from repro.runtime.backends import MeteredPackedLayer
 
 FIXTURES = pathlib.Path(__file__).parents[1] / "fixtures" / "plans"
@@ -176,3 +176,29 @@ class TestMeterContract:
         assert np.array_equal(layer.forward_bits(x), folded.forward_bits(x))
         assert (layer.controller.sense_ops,
                 layer.controller.popcount_bit_ops) == (0, 0)
+
+
+@pytest.mark.parametrize("backend", ["packed", "rram", "sharded"])
+@pytest.mark.parametrize("kind", ["dense", "output"])
+def test_dense_layers_refuse_a_batch_of_the_wrong_width(backend, kind):
+    """21 bits pack into the same single word as the layer's 20: the
+    batch is refused like the folded layer refuses it, never scored, and
+    a metered layer's meters stay where they were."""
+    hook, folded, packed, _ = _layers(np.random.default_rng(3))[kind]
+    if backend == "packed":
+        layer = getattr(resolve_backend("packed"), hook)(folded)
+        assert type(layer) is packed
+    else:
+        layer = getattr(BACKENDS[backend](IDEAL, True), hook)(folded)
+        assert type(layer) is MeteredPackedLayer
+        meters = (layer.controller.sense_ops,
+                  layer.controller.popcount_bit_ops)
+    x = np.random.default_rng(4).integers(0, 2, (3, 21)).astype(np.uint8)
+    run = "forward_scores" if kind == "output" else "forward_bits"
+    with pytest.raises(ValueError, match="bit-width mismatch"):
+        getattr(folded, run)(x)
+    with pytest.raises(ValueError, match="bit-width mismatch"):
+        getattr(layer, run)(x)
+    if backend != "packed":
+        assert (layer.controller.sense_ops,
+                layer.controller.popcount_bit_ops) == meters

@@ -1,8 +1,8 @@
 """Plan artifacts: save/load semantics, backend rebinding, registry rules.
 
 Companion to the golden-artifact suite: these tests pin down the *API*
-contracts — external front-ends degrade loudly, legacy files convert,
-version checks fail forward, the registry refuses silent shadowing, and
+contracts — external front-ends degrade loudly, every single-plan load
+runs the same checks, version checks fail forward, the registry refuses silent shadowing, and
 ``begin_plan`` isolates consecutive compiles on one backend instance.
 """
 
@@ -11,14 +11,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.io import (convert_folded_artifact, load_compiled, load_plan,
-                      save_folded_classifier, save_plan)
+from repro.io import load_bundle, load_compiled, load_plan, save_plan
 from repro.io.common import write_npz
 from repro.models import golden_classifier
+from repro.nn.binary import FoldedBinaryDense, FoldedOutputDense
 from repro.rram import (AcceleratorConfig, MacroGeometry,
                         classifier_input_bits)
 from repro.runtime import (PlanSerializationError, ReferenceBackend,
-                           RRAMBackend, ShardedRRAMBackend, compile,
+                           ShardedRRAMBackend, compile,
                            fold_classifier_stack, plan_from_folded,
                            register_backend, resolve_backend)
 from repro.runtime.backends import _BACKENDS
@@ -132,46 +132,65 @@ class TestLoadValidation:
             load_compiled(path2, backend="reference")
 
 
-class TestLegacyConversion:
-    @pytest.fixture
-    def legacy(self, eeg_demo, tmp_path):
-        model, inputs = eeg_demo
+def _folded_classifier_file(path, hidden, output):
+    """Write a classifier in the pre-plan ``folded_classifier`` layout,
+    which no loader reads any more."""
+    arrays = {f"hidden{index}.{name}": getattr(layer, name)
+              for index, layer in enumerate(hidden)
+              for name in ("weight_bits", "theta", "gamma_sign",
+                           "beta_sign")}
+    arrays.update({f"output.{name}": getattr(output, name)
+                   for name in ("weight_bits", "scale", "offset")})
+    return write_npz(path, arrays, {"kind": "folded_classifier",
+                                    "n_hidden": len(hidden)})
+
+
+def _broadcasting_classifier():
+    """16 hidden units into 4 classes whose output scale/offset have
+    shape (1,): numpy would broadcast them over every class."""
+    rng = np.random.default_rng(0)
+    hidden = FoldedBinaryDense(
+        rng.integers(0, 2, (16, 20)).astype(np.uint8),
+        rng.standard_normal(16), np.ones(16), np.ones(16))
+    output = FoldedOutputDense(
+        rng.integers(0, 2, (4, 16)).astype(np.uint8), np.ones(1),
+        np.zeros(1))
+    return [hidden], output
+
+
+class TestSingleLoadPath:
+    """Plan artifacts are the only single-plan format: every loader runs
+    the kind check, then the version and array checks."""
+
+    @pytest.mark.parametrize("loader", [load_plan, load_bundle,
+                                        load_compiled])
+    def test_folded_classifier_file_refused(self, loader, eeg_demo,
+                                            tmp_path):
+        model, _ = eeg_demo
+        path = _folded_classifier_file(tmp_path / "program.npz",
+                                       *fold_classifier_stack(model))
+        with pytest.raises(ValueError, match="'folded_classifier' "
+                                             "artefact, not a compiled plan"):
+            loader(path)
+
+    def test_broadcasting_output_scale_refused_in_both_layouts(
+            self, tmp_path):
+        hidden, output = _broadcasting_classifier()
+        plan_path = save_plan(plan_from_folded(hidden, output),
+                              tmp_path / "plan.npz")
+        with pytest.raises(ValueError, match=r"array 'scale' has shape "
+                                             r"\(1,\), not \(4,\)"):
+            load_plan(plan_path)
+        folded_path = _folded_classifier_file(tmp_path / "program.npz",
+                                              hidden, output)
+        with pytest.raises(ValueError, match="not a compiled plan"):
+            load_compiled(folded_path, backend="packed")
+
+    def test_bits_front_end_validates_width(self, eeg_demo, tmp_path):
+        model, _ = eeg_demo
         hidden, output = fold_classifier_stack(model)
-        path = tmp_path / "program.npz"
-        save_folded_classifier(hidden, output, path)
-        bits = np.random.default_rng(0).integers(
-            0, 2, (7, hidden[0].in_features)).astype(np.uint8)
-        return path, hidden, output, bits
-
-    def test_load_plan_converts_transparently(self, legacy):
-        path, hidden, output, bits = legacy
-        artifact = load_plan(path)
-        assert artifact.self_contained
-        assert artifact.meta["converted_from"] == "folded_classifier"
-        loaded = load_compiled(artifact, backend="packed")
-        fresh = plan_from_folded(hidden, output, "packed")
-        assert np.array_equal(loaded.scores(bits), fresh.scores(bits))
-
-    def test_convert_writes_plan_file(self, legacy):
-        path, hidden, output, bits = legacy
-        upgraded = convert_folded_artifact(path)
-        assert upgraded.name == "program.plan.npz"
-        artifact = load_plan(upgraded)
-        assert artifact.meta["kind"] == "compiled_plan"
-        loaded = load_compiled(
-            artifact, backend=RRAMBackend(AcceleratorConfig(ideal=True)))
-        fresh = plan_from_folded(hidden, output, "reference")
-        assert np.array_equal(loaded.predict(bits), fresh.predict(bits))
-
-    def test_convert_respects_overwrite_guard(self, legacy):
-        path, *_ = legacy
-        convert_folded_artifact(path)
-        with pytest.raises(FileExistsError):
-            convert_folded_artifact(path)
-        convert_folded_artifact(path, overwrite=True)
-
-    def test_bits_front_end_validates_width(self, legacy):
-        path, hidden, *_ = legacy
+        path = save_plan(plan_from_folded(hidden, output),
+                         tmp_path / "classifier.npz")
         loaded = load_compiled(path, backend="reference")
         with pytest.raises(ValueError, match="activation bits"):
             loaded.predict(np.zeros((3, hidden[0].in_features + 1),

@@ -163,15 +163,7 @@ class TestDrainAndPad:
         assert sorted(served) == [0, 1, 2]
         assert b.depth == 0 and b.flush(now=0.0) is None
 
-    def test_pad_fixes_dispatch_shape(self):
-        b = MicroBatcher(max_batch=4, window=0.0, pad=True)
-        b.submit(0, _req(2, value=3.0), now=0.0)
-        flush = b.flush(now=0.0)
-        assert flush.inputs.shape == (4, 3)      # padded to max_batch
-        assert flush.rows == 2                   # ...but only 2 real rows
-        assert np.all(flush.inputs[2:] == 0.0)
-
     def test_no_pad_keeps_exact_rows(self):
-        b = MicroBatcher(max_batch=4, window=0.0, pad=False)
+        b = MicroBatcher(max_batch=4, window=0.0)
         b.submit(0, _req(2), now=0.0)
         assert b.flush(now=0.0).inputs.shape == (2, 3)

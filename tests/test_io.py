@@ -1,10 +1,9 @@
-"""Tests for checkpoint and programming-artefact persistence (repro.io)."""
+"""Tests for checkpoint persistence and the save guard (repro.io)."""
 
 import numpy as np
 import pytest
 
-from repro.io import (load_folded_classifier, load_model,
-                      save_folded_classifier, save_model)
+from repro.io import load_model, save_model, save_plan
 from repro.models import BinarizationMode, ECGNet
 from repro.nn import Linear, Sequential
 from repro.runtime import fold_classifier_stack, plan_from_folded
@@ -66,70 +65,10 @@ class TestModelCheckpoint:
                        n_samples=300, base_filters=8,
                        rng=np.random.default_rng(7))
         model.eval()
-        hidden, output = fold_classifier_stack(model)
-        path = tmp_path / "folded.npz"
-        save_folded_classifier(hidden, output, path)
+        path = save_plan(plan_from_folded(*fold_classifier_stack(model)),
+                         tmp_path / "plan.npz")
         with pytest.raises(ValueError, match="not a model"):
             load_model(small_model, path)
-
-
-class TestFoldedArtefact:
-    @pytest.fixture
-    def folded(self):
-        model = ECGNet(mode=BinarizationMode.BINARY_CLASSIFIER,
-                       n_samples=300, base_filters=8,
-                       rng=np.random.default_rng(8))
-        model.eval()
-        return fold_classifier_stack(model)
-
-    def test_round_trip_is_bit_exact(self, folded, tmp_path):
-        hidden, output = folded
-        path = tmp_path / "program.npz"
-        save_folded_classifier(hidden, output, path)
-        loaded_hidden, loaded_output = load_folded_classifier(path)
-
-        rng = np.random.default_rng(9)
-        bits = rng.integers(0, 2,
-                            size=(8, hidden[0].in_features)).astype(np.uint8)
-        original = output.forward_scores(hidden[0].forward_bits(bits))
-        restored = loaded_output.forward_scores(
-            loaded_hidden[0].forward_bits(bits))
-        assert np.array_equal(original, restored)
-
-    def test_loaded_artefact_deploys_on_hardware(self, folded, tmp_path):
-        """The restored artefact can program an accelerator directly."""
-        from repro.rram import AcceleratorConfig
-        from repro.runtime import RRAMBackend
-
-        hidden, output = folded
-        path = tmp_path / "program.npz"
-        save_folded_classifier(hidden, output, path)
-        loaded_hidden, loaded_output = load_folded_classifier(path)
-
-        hardware = plan_from_folded(
-            loaded_hidden, loaded_output,
-            backend=RRAMBackend(AcceleratorConfig(ideal=True)))
-        rng = np.random.default_rng(10)
-        bits = rng.integers(
-            0, 2, size=(4, hidden[0].in_features)).astype(np.uint8)
-        expected = output.predict(hidden[0].forward_bits(bits))
-        assert np.array_equal(hardware.predict(bits), expected)
-
-    def test_wrong_kind_rejected(self, small_model, folded, tmp_path):
-        path = tmp_path / "model.npz"
-        save_model(small_model, path)
-        with pytest.raises(ValueError, match="not a folded"):
-            load_folded_classifier(path)
-
-    def test_metadata_records_shapes(self, folded, tmp_path):
-        import json
-        hidden, output = folded
-        path = tmp_path / "program.npz"
-        save_folded_classifier(hidden, output, path)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__repro_meta__"]).decode())
-        assert meta["n_hidden"] == len(hidden)
-        assert meta["layer_shapes"][0] == list(hidden[0].weight_bits.shape)
 
 
 class TestOverwriteGuard:
@@ -144,21 +83,6 @@ class TestOverwriteGuard:
             save_model(small_model, path)
         assert path.read_bytes() == before      # refused write is a no-op
         save_model(small_model, path, overwrite=True)
-
-    def test_save_folded_refuses_then_overwrites(self, tmp_path):
-        model = ECGNet(mode=BinarizationMode.BINARY_CLASSIFIER,
-                       n_samples=300, base_filters=8,
-                       rng=np.random.default_rng(11))
-        model.eval()
-        hidden, output = fold_classifier_stack(model)
-        path = tmp_path / "program.npz"
-        save_folded_classifier(hidden, output, path)
-        with pytest.raises(FileExistsError, match="overwrite=True"):
-            save_folded_classifier(hidden, output, path)
-        save_folded_classifier(hidden, output, path, overwrite=True)
-        loaded_hidden, _ = load_folded_classifier(path)
-        assert np.array_equal(loaded_hidden[0].weight_bits,
-                              hidden[0].weight_bits)
 
     def test_guard_sees_through_implicit_npz_suffix(self, small_model,
                                                     tmp_path):
